@@ -5,7 +5,8 @@
 namespace trb
 {
 
-Cache::Cache(const CacheParams &params) : params_(params)
+Cache::Cache(const CacheParams &params)
+    : params_(params), ways_(params.ways)
 {
     std::size_t lines = params.sizeBytes / kLineBytes;
     trb_assert(params.ways >= 1 && lines % params.ways == 0,
@@ -14,109 +15,69 @@ Cache::Cache(const CacheParams &params) : params_(params)
     trb_assert((sets_ & (sets_ - 1)) == 0,
                "cache set count must be a power of two: ", params.name);
     setMask_ = sets_ - 1;
-    lines_.assign(lines, Line{});
+    tags_.assign(lines, kEmpty);
+    dirty_.assign(lines, 0);
+    if (params.policy == ReplPolicy::Lru)
+        lru_.assign(lines, 0);
+    else
+        rrpv_.assign(lines, 3);
 }
 
-Cache::Line *
-Cache::find(Addr addr)
+std::size_t
+Cache::pickVictim(std::size_t base)
 {
-    Line *set = &lines_[setOf(addr) * params_.ways];
-    for (unsigned w = 0; w < params_.ways; ++w)
-        if (set[w].valid && set[w].tag == tagOf(addr))
-            return &set[w];
-    return nullptr;
-}
+    const std::size_t end = base + ways_;
+    for (std::size_t s = base; s < end; ++s)
+        if (tags_[s] == kEmpty)
+            return s;
 
-const Cache::Line *
-Cache::find(Addr addr) const
-{
-    const Line *set = &lines_[setOf(addr) * params_.ways];
-    for (unsigned w = 0; w < params_.ways; ++w)
-        if (set[w].valid && set[w].tag == tagOf(addr))
-            return &set[w];
-    return nullptr;
-}
-
-bool
-Cache::access(Addr addr, bool write)
-{
-    ++accesses_;
-    Line *line = find(addr);
-    if (!line) {
-        ++misses_;
-        return false;
-    }
-    line->lru = ++clock_;
-    line->rrpv = 0;
-    line->dirty |= write;
-    return true;
-}
-
-bool
-Cache::probe(Addr addr) const
-{
-    return find(addr) != nullptr;
-}
-
-Cache::Line &
-Cache::pickVictim(std::size_t set)
-{
-    Line *ways = &lines_[set * params_.ways];
-    for (unsigned w = 0; w < params_.ways; ++w)
-        if (!ways[w].valid)
-            return ways[w];
-
-    if (params_.policy == ReplPolicy::Lru) {
-        Line *victim = &ways[0];
-        for (unsigned w = 1; w < params_.ways; ++w)
-            if (ways[w].lru < victim->lru)
-                victim = &ways[w];
-        return *victim;
+    if (!lru_.empty()) {
+        std::size_t victim = base;
+        for (std::size_t s = base + 1; s < end; ++s)
+            if (lru_[s] < lru_[victim])
+                victim = s;
+        return victim;
     }
 
     // SRRIP: evict the first line with maximal RRPV, aging as needed.
     for (;;) {
-        for (unsigned w = 0; w < params_.ways; ++w)
-            if (ways[w].rrpv >= 3)
-                return ways[w];
-        for (unsigned w = 0; w < params_.ways; ++w)
-            ++ways[w].rrpv;
+        for (std::size_t s = base; s < end; ++s)
+            if (rrpv_[s] >= 3)
+                return s;
+        for (std::size_t s = base; s < end; ++s)
+            ++rrpv_[s];
     }
 }
 
-bool
-Cache::insert(Addr addr, bool write, bool prefetched, Addr &victim)
+Cache::Fill
+Cache::insert(Addr addr, bool write, bool prefetched)
 {
-    victim = 0;
-    Line *existing = find(addr);
-    if (existing) {
-        existing->dirty |= write;
-        return false;
-    }
     ++insertions_;
-    Line &line = pickVictim(setOf(addr));
-    bool dirty_evict = line.valid && line.dirty;
-    if (line.valid)
-        victim = line.tag * kLineBytes;
-    if (dirty_evict)
+    const Addr tag = lineNum(addr);
+    const std::size_t slot = pickVictim((tag & setMask_) * ways_);
+    const bool valid = tags_[slot] != kEmpty;
+    const Fill fill{slot, valid ? tags_[slot] * kLineBytes : kNoVictim,
+                    valid && dirty_[slot]};
+    if (fill.dirtyVictim)
         ++writebacks_;
-    line.valid = true;
-    line.tag = tagOf(addr);
-    line.dirty = write;
-    line.lru = ++clock_;
-    line.rrpv = prefetched ? 3 : 2;
-    return dirty_evict;
+    tags_[slot] = tag;
+    dirty_[slot] = write;
+    if (lru_.empty())
+        rrpv_[slot] = prefetched ? 3 : 2;
+    else
+        lru_[slot] = ++clock_;
+    return fill;
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
-    Line *line = find(addr);
-    if (!line)
+    std::optional<std::size_t> slot = find(addr);
+    if (!slot)
         return false;
-    bool dirty = line->dirty;
-    line->valid = false;
-    line->dirty = false;
+    bool dirty = dirty_[*slot];
+    tags_[*slot] = kEmpty;
+    dirty_[*slot] = 0;
     return dirty;
 }
 

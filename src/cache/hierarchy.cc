@@ -1,7 +1,5 @@
 #include "cache/hierarchy.hh"
 
-#include "common/logging.hh"
-
 namespace trb
 {
 
@@ -9,38 +7,16 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params)
     : params_(params), l1i_(params.l1i), l1d_(params.l1d), l2_(params.l2),
       llc_(params.llc)
 {
-    if (params.l1dIpStride)
-        l1dPrefetcher_ = std::make_unique<IpStridePrefetcher>();
-    if (params.l2NextLine)
-        l2Prefetcher_ = std::make_unique<NextLinePrefetcher>();
-}
-
-void
-MemoryHierarchy::cleanInflight(std::unordered_map<Addr, Cycle> &map,
-                               Cycle now)
-{
-    // Lazily bound the in-flight set: completed fills can go.
-    if (map.size() < 4096)
-        return;
-    for (auto it = map.begin(); it != map.end();) {
-        if (it->second <= now)
-            it = map.erase(it);
-        else
-            ++it;
-    }
 }
 
 Cycle
-MemoryHierarchy::walkShared(Addr addr, bool write, bool demand,
+MemoryHierarchy::walkShared(Addr line, bool write, bool demand,
                             bool prefetched)
 {
-    Addr line = lineAddr(addr);
-    Addr victim = 0;
-
     bool l2_hit;
     if (demand) {
         ++l2Acc_;
-        l2_hit = l2_.access(line, false);
+        l2_hit = l2_.access(line, false).has_value();
         if (!l2_hit)
             ++l2Miss_;
     } else {
@@ -49,65 +25,51 @@ MemoryHierarchy::walkShared(Addr addr, bool write, bool demand,
 
     // The L2 next-line prefetcher observes all L2 demand traffic (hits
     // included, or a marching stream would only ever run one line ahead).
-    if (demand && l2Prefetcher_) {
-        pfScratch_.clear();
-        l2Prefetcher_->observe(0, addr, l2_hit, pfScratch_);
-        for (Addr cand : pfScratch_) {
-            if (!l2_.probe(cand) && !llc_.probe(cand)) {
-                ++pfIssued_;
-                // Next-line fill: bring into L2 (and LLC) quietly.
-                llc_.insert(cand, false, true, victim);
-                l2_.insert(cand, false, true, victim);
-            }
+    if (demand && params_.l2NextLine) {
+        Addr cand = NextLinePrefetcher::candidate(line);
+        if (!l2_.probe(cand) && !llc_.probe(cand)) {
+            ++pfIssued_;
+            // Next-line fill: bring into L2 (and LLC) quietly.
+            llc_.insert(cand, false, true);
+            l2_.insert(cand, false, true);
         }
     }
 
     if (l2_hit)
         return params_.l2.latency;
 
+    // From here on the line is absent from the L2 (and, past the LLC
+    // lookup, from the LLC): the next-line fill above is another line.
     Cycle lat = params_.l2.latency;
+    bool llc_hit;
     if (demand) {
         ++llcAcc_;
-        if (llc_.access(line, false)) {
-            l2_.insert(line, false, prefetched, victim);
-            return lat + params_.llc.latency;
-        }
-        ++llcMiss_;
-    } else if (llc_.probe(line)) {
-        l2_.insert(line, false, prefetched, victim);
+        llc_hit = llc_.access(line, false).has_value();
+        if (!llc_hit)
+            ++llcMiss_;
+    } else {
+        llc_hit = llc_.probe(line);
+    }
+    if (llc_hit) {
+        l2_.insert(line, false, prefetched);
         return lat + params_.llc.latency;
     }
 
     // DRAM.
-    llc_.insert(line, write, prefetched, victim);
-    l2_.insert(line, false, prefetched, victim);
+    llc_.insert(line, write, prefetched);
+    l2_.insert(line, false, prefetched);
     return lat + params_.llc.latency + params_.dramLatency;
 }
 
 Cycle
-MemoryHierarchy::fillL1(Cache &l1, std::unordered_map<Addr, Cycle> &inflight,
-                        Addr addr, bool write, bool demand, bool prefetched,
-                        Cycle now)
+MemoryHierarchy::fillL1(L1 &l1, Addr line, bool write, bool demand,
+                        bool prefetched, Cycle now)
 {
-    Addr line = lineAddr(addr);
-
-    // MSHR-style merge with an outstanding fill.
-    auto it = inflight.find(line);
-    if (it != inflight.end()) {
-        if (it->second > now)
-            return it->second - now;
-        inflight.erase(it);
-        // The fill completed: the line is in the tag array already.
-        return 0;
-    }
-
-    Cycle beyond = walkShared(addr, write, demand, prefetched);
-    Addr victim = 0;
-    l1.insert(line, write, prefetched, victim);
-    if (victim != 0)
-        inflight.erase(victim);
-    inflight[line] = now + beyond;
-    cleanInflight(inflight, now);
+    Cycle beyond = walkShared(line, write, demand, prefetched);
+    // The victim's slot, and with it any fill still stamped on it, goes
+    // to the new line.
+    l1.fillReady[l1.tags.insert(line, write, prefetched).slot] =
+        now + beyond;
     return beyond;
 }
 
@@ -132,126 +94,84 @@ levelOf(Cycle beyond, const HierarchyParams &p)
 AccessResult
 MemoryHierarchy::access(AccessKind kind, Addr addr, Addr ip, Cycle now)
 {
+    const bool instr = kind == AccessKind::Instr;
+    const bool write = kind == AccessKind::Store;
+    L1 &l1 = instr ? l1i_ : l1d_;
+    const Addr line = lineAddr(addr);
+
     AccessResult res;
-    Addr line = lineAddr(addr);
-
-    if (kind == AccessKind::Instr) {
-        ++l1iAcc_;
-        res.latency = params_.l1i.latency;
-        if (l1i_.access(line, false)) {
-            // Tag hit, but the fill may still be in flight (a late
-            // prefetch or an MSHR merge): pay the remaining time and
-            // count it as a demand miss.
-            auto it = inflightI_.find(line);
-            if (it != inflightI_.end()) {
-                if (it->second > now) {
-                    res.latency += it->second - now;
-                    res.l1Miss = true;
-                    ++l1iMiss_;
-                    ++l1iMshrMerge_;
-                    res.level = levelOf(it->second - now, params_);
-                } else {
-                    inflightI_.erase(it);
-                }
-            }
-            return res;
-        }
-        ++l1iMiss_;
-        res.l1Miss = true;
-        Cycle beyond =
-            fillL1(l1i_, inflightI_, addr, false, true, false, now);
-        res.latency += beyond;
-        res.level = levelOf(beyond, params_);
-        return res;
-    }
-
-    bool write = kind == AccessKind::Store;
-    ++l1dAcc_;
-    res.latency = params_.l1d.latency;
-    bool hit = l1d_.access(line, write);
-    if (hit) {
-        auto it = inflightD_.find(line);
-        if (it != inflightD_.end()) {
-            if (it->second > now) {
-                res.latency += it->second - now;
-                res.l1Miss = true;
-                ++l1dMiss_;
-                ++l1dMshrMerge_;
-                res.level = levelOf(it->second - now, params_);
-            } else {
-                inflightD_.erase(it);
-            }
+    res.latency = l1.tags.params().latency;
+    ++l1.accesses;
+    if (std::optional<std::size_t> slot = l1.tags.access(line, write)) {
+        // Tag hit, but the fill may still be in flight (a late prefetch
+        // or an MSHR merge): pay the remaining time and count it as a
+        // demand miss.
+        Cycle &ready = l1.fillReady[*slot];
+        if (ready > now) {
+            res.latency += ready - now;
+            res.l1Miss = true;
+            ++l1.misses;
+            ++l1.mshrMerges;
+            res.level = levelOf(ready - now, params_);
+        } else {
+            // The fill has completed; clear it, so a later access stamped
+            // earlier (stores access at retire, loads at issue) does not
+            // wait for it either.
+            ready = 0;
         }
     } else {
-        ++l1dMiss_;
+        ++l1.misses;
         res.l1Miss = true;
-        Cycle beyond =
-            fillL1(l1d_, inflightD_, addr, write, true, false, now);
+        Cycle beyond = fillL1(l1, line, write, true, false, now);
         res.latency += beyond;
         res.level = levelOf(beyond, params_);
     }
 
-    // Train the L1D prefetcher on every demand access.
-    if (l1dPrefetcher_) {
+    // Train the L1D prefetcher on every demand data access.  Prefetch
+    // fills never train a prefetcher, so the candidates can be issued
+    // straight from the scratch vector.
+    if (!instr && params_.l1dIpStride) {
         pfScratch_.clear();
-        l1dPrefetcher_->observe(ip, addr, hit, pfScratch_);
-        // Move candidates out: prefetchData reuses the scratch vector.
-        std::vector<Addr> cands;
-        cands.swap(pfScratch_);
-        for (Addr cand : cands)
-            prefetchData(cand, now);
+        l1dStride_.observe(ip, addr, pfScratch_);
+        for (Addr cand : pfScratch_)
+            prefetchL1(l1d_, cand, now);
     }
     return res;
 }
 
 bool
-MemoryHierarchy::prefetchInstr(Addr addr, Cycle now)
+MemoryHierarchy::prefetchL1(L1 &l1, Addr addr, Cycle now)
 {
     Addr line = lineAddr(addr);
-    if (l1i_.probe(line))
-        return false;
-    auto it = inflightI_.find(line);
-    if (it != inflightI_.end() && it->second > now)
+    if (l1.tags.probe(line))
         return false;
     ++pfIssued_;
-    fillL1(l1i_, inflightI_, addr, false, false, true, now);
+    fillL1(l1, line, false, false, true, now);
     return true;
 }
 
 bool
-MemoryHierarchy::prefetchData(Addr addr, Cycle now)
+MemoryHierarchy::prefetchInstr(Addr addr, Cycle now)
 {
-    Addr line = lineAddr(addr);
-    if (l1d_.probe(line))
-        return false;
-    auto it = inflightD_.find(line);
-    if (it != inflightD_.end() && it->second > now)
-        return false;
-    ++pfIssued_;
-    fillL1(l1d_, inflightD_, addr, false, false, true, now);
-    return true;
+    return prefetchL1(l1i_, addr, now);
 }
 
 bool
 MemoryHierarchy::probeL1I(Addr addr, Cycle now) const
 {
-    Addr line = lineAddr(addr);
-    if (l1i_.probe(line)) {
-        auto it = inflightI_.find(line);
-        return it == inflightI_.end() || it->second <= now;
-    }
-    return false;
+    std::optional<std::size_t> slot = l1i_.tags.find(lineAddr(addr));
+    return slot && l1i_.fillReady[*slot] <= now;
 }
 
 void
 MemoryHierarchy::report(StatSet &stats) const
 {
-    stats.set("l1i.accesses", l1iAcc_);
-    stats.set("l1i.misses", l1iMiss_);
-    stats.set("l1i.mshr_merges", l1iMshrMerge_);
-    stats.set("l1d.accesses", l1dAcc_);
-    stats.set("l1d.misses", l1dMiss_);
-    stats.set("l1d.mshr_merges", l1dMshrMerge_);
+    stats.set("l1i.accesses", l1i_.accesses);
+    stats.set("l1i.misses", l1i_.misses);
+    stats.set("l1i.mshr_merges", l1i_.mshrMerges);
+    stats.set("l1d.accesses", l1d_.accesses);
+    stats.set("l1d.misses", l1d_.misses);
+    stats.set("l1d.mshr_merges", l1d_.mshrMerges);
     stats.set("l2.accesses", l2Acc_);
     stats.set("l2.misses", l2Miss_);
     stats.set("llc.accesses", llcAcc_);

@@ -6,14 +6,18 @@
  * in-flight line pay only the remaining time (an MSHR-hit).  Data
  * prefetchers (ip-stride at L1D, next-line at L2) and the instruction
  * prefetcher hook issue non-demand fills through the same machinery.
+ *
+ * The MSHR state lives in the L1 tag arrays: a fill installs its line
+ * at once and stamps the line's slot with the cycle the data arrives.
+ * An outstanding fill is therefore always a resident line, an eviction
+ * retires its victim's fill with the slot, and there is no separate
+ * in-flight table to look up, bound or keep consistent.
  */
 
 #ifndef TRB_CACHE_HIERARCHY_HH
 #define TRB_CACHE_HIERARCHY_HH
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -68,27 +72,28 @@ class MemoryHierarchy
      */
     bool prefetchInstr(Addr addr, Cycle now);
 
-    /** Data prefetch into the L1D (exposed for completeness/tests). */
-    bool prefetchData(Addr addr, Cycle now);
-
-    /** True if the line is in the L1I or its fill has completed. */
+    /**
+     * True if the line is in the L1I and its fill, if any, has completed
+     * by @p now.  A pure query: unlike a demand hit it leaves a
+     * completed fill's stamp in place.
+     */
     bool probeL1I(Addr addr, Cycle now) const;
 
     /// @name Demand statistics (misses are per-level demand misses).
     /// @{
-    std::uint64_t l1iAccesses() const { return l1iAcc_; }
-    std::uint64_t l1iMisses() const { return l1iMiss_; }
-    std::uint64_t l1dAccesses() const { return l1dAcc_; }
-    std::uint64_t l1dMisses() const { return l1dMiss_; }
+    std::uint64_t l1iAccesses() const { return l1i_.accesses; }
+    std::uint64_t l1iMisses() const { return l1i_.misses; }
+    std::uint64_t l1dAccesses() const { return l1d_.accesses; }
+    std::uint64_t l1dMisses() const { return l1d_.misses; }
     std::uint64_t l2Accesses() const { return l2Acc_; }
     std::uint64_t l2Misses() const { return l2Miss_; }
     std::uint64_t llcAccesses() const { return llcAcc_; }
     std::uint64_t llcMisses() const { return llcMiss_; }
     std::uint64_t prefetchesIssued() const { return pfIssued_; }
     /** Demand accesses that merged with an in-flight L1I fill. */
-    std::uint64_t l1iMshrMerges() const { return l1iMshrMerge_; }
+    std::uint64_t l1iMshrMerges() const { return l1i_.mshrMerges; }
     /** Demand accesses that merged with an in-flight L1D fill. */
-    std::uint64_t l1dMshrMerges() const { return l1dMshrMerge_; }
+    std::uint64_t l1dMshrMerges() const { return l1d_.mshrMerges; }
     /// @}
 
     /** Dump every counter into a StatSet. */
@@ -102,37 +107,43 @@ class MemoryHierarchy
                        const std::string &prefix = "cache") const;
 
   private:
+    /** An L1: its tag array, the MSHR state in it and its counters. */
+    struct L1
+    {
+        explicit L1(const CacheParams &params)
+            : tags(params), fillReady(tags.numSlots(), 0)
+        {}
+
+        Cache tags;
+        /** Per slot: the cycle its line's fill completes, 0 = none. */
+        std::vector<Cycle> fillReady;
+        std::uint64_t accesses = 0, misses = 0, mshrMerges = 0;
+    };
+
     /**
      * Walk the shared levels (L2, LLC, DRAM) for a line that missed an
      * L1.  Counts demand statistics when @p demand and fills the shared
      * levels on the way back.
      * @return cumulative latency beyond the L1 access.
      */
-    Cycle walkShared(Addr addr, bool write, bool demand, bool prefetched);
+    Cycle walkShared(Addr line, bool write, bool demand, bool prefetched);
 
-    /** Start or join an in-flight fill; returns data-ready delay. */
-    Cycle fillL1(Cache &l1, std::unordered_map<Addr, Cycle> &inflight,
-                 Addr addr, bool write, bool demand, bool prefetched,
-                 Cycle now);
+    /** Fill a line absent from @p l1; returns the data-ready delay. */
+    Cycle fillL1(L1 &l1, Addr line, bool write, bool demand,
+                 bool prefetched, Cycle now);
 
-    static void cleanInflight(std::unordered_map<Addr, Cycle> &map,
-                              Cycle now);
+    /** Prefetch into @p l1 unless the line is there already. */
+    bool prefetchL1(L1 &l1, Addr addr, Cycle now);
 
     HierarchyParams params_;
-    Cache l1i_;
-    Cache l1d_;
+    L1 l1i_;
+    L1 l1d_;
     Cache l2_;
     Cache llc_;
 
-    std::unordered_map<Addr, Cycle> inflightI_;
-    std::unordered_map<Addr, Cycle> inflightD_;
+    IpStridePrefetcher l1dStride_;
+    std::vector<Addr> pfScratch_;   //!< l1dStride_'s candidates
 
-    std::unique_ptr<DataPrefetcher> l1dPrefetcher_;
-    std::unique_ptr<DataPrefetcher> l2Prefetcher_;
-    std::vector<Addr> pfScratch_;
-
-    std::uint64_t l1iAcc_ = 0, l1iMiss_ = 0, l1iMshrMerge_ = 0;
-    std::uint64_t l1dAcc_ = 0, l1dMiss_ = 0, l1dMshrMerge_ = 0;
     std::uint64_t l2Acc_ = 0, l2Miss_ = 0;
     std::uint64_t llcAcc_ = 0, llcMiss_ = 0;
     std::uint64_t pfIssued_ = 0;

@@ -2,8 +2,9 @@
  * @file
  * Data prefetchers: the IP-stride prefetcher at the L1D and the next-line
  * prefetcher at the L2 -- the paper's stand-in for the Icelake-style
- * prefetching setup.  Prefetch candidates are returned to the hierarchy,
- * which performs the fills with proper latency accounting.
+ * prefetching setup.  The hierarchy holds one of each (there is no
+ * other data prefetcher) and performs the fills they propose with
+ * proper latency accounting.
  */
 
 #ifndef TRB_CACHE_PREFETCHER_HH
@@ -18,34 +19,20 @@
 namespace trb
 {
 
-/** Interface of a data prefetcher attached to one cache level. */
-class DataPrefetcher
+/** Classic per-IP stride detector with confidence and degree. */
+class IpStridePrefetcher
 {
   public:
-    virtual ~DataPrefetcher() = default;
+    explicit IpStridePrefetcher(unsigned degree = 3) : degree_(degree) {}
 
     /**
      * Observe a demand access and append prefetch candidates.
      * @param ip instruction address of the memory instruction
      * @param addr byte address accessed
-     * @param hit whether the demand access hit this level
      * @param out candidate line-aligned prefetch addresses
      */
-    virtual void observe(Addr ip, Addr addr, bool hit,
-                         std::vector<Addr> &out) = 0;
-
-    virtual const char *name() const = 0;
-};
-
-/** Classic per-IP stride detector with confidence and degree. */
-class IpStridePrefetcher : public DataPrefetcher
-{
-  public:
-    explicit IpStridePrefetcher(unsigned degree = 3) : degree_(degree) {}
-
     void
-    observe(Addr ip, Addr addr, bool /*hit*/,
-            std::vector<Addr> &out) override
+    observe(Addr ip, Addr addr, std::vector<Addr> &out)
     {
         Entry &e = table_[(ip >> 2) % table_.size()];
         Addr tag = ip >> 2;
@@ -75,8 +62,6 @@ class IpStridePrefetcher : public DataPrefetcher
         }
     }
 
-    const char *name() const override { return "ip-stride"; }
-
   private:
     struct Entry
     {
@@ -91,17 +76,11 @@ class IpStridePrefetcher : public DataPrefetcher
 };
 
 /** Fetch line + 1 on every demand access. */
-class NextLinePrefetcher : public DataPrefetcher
+class NextLinePrefetcher
 {
   public:
-    void
-    observe(Addr /*ip*/, Addr addr, bool /*hit*/,
-            std::vector<Addr> &out) override
-    {
-        out.push_back(lineAddr(addr) + kLineBytes);
-    }
-
-    const char *name() const override { return "next-line"; }
+    /** The one candidate for a demand access to @p addr. */
+    static Addr candidate(Addr addr) { return lineAddr(addr) + kLineBytes; }
 };
 
 } // namespace trb

@@ -17,13 +17,15 @@ namespace trb
 
 /**
  * An n-bit saturating up/down counter.  Counts in [0, 2^bits - 1];
- * taken() reports the upper half.
+ * taken() reports the upper half.  Two bytes, so predictor tables of
+ * them stay small in the host's caches.
  */
 class SatCounter
 {
   public:
     explicit SatCounter(unsigned bits = 2, unsigned initial = 0)
-        : max_((1u << bits) - 1), value_(initial)
+        : max_(static_cast<std::uint8_t>((1u << bits) - 1)),
+          value_(static_cast<std::uint8_t>(initial))
     {
         trb_assert(bits >= 1 && bits <= 8, "SatCounter bits out of range");
         trb_assert(initial <= max_, "SatCounter initial value too large");
@@ -34,7 +36,11 @@ class SatCounter
     void update(bool up) { up ? increment() : decrement(); }
 
     /** Reset to weakly-not-taken / weakly-taken midpoints. */
-    void resetWeak(bool taken) { value_ = taken ? (max_ / 2 + 1) : max_ / 2; }
+    void
+    resetWeak(bool taken)
+    {
+        value_ = static_cast<std::uint8_t>(taken ? max_ / 2 + 1 : max_ / 2);
+    }
 
     unsigned value() const { return value_; }
     unsigned max() const { return max_; }
@@ -46,13 +52,14 @@ class SatCounter
     unsigned
     confidence() const
     {
-        unsigned mid = max_ / 2;
-        return value_ > mid ? value_ - mid - 1 : mid - value_;
+        unsigned mid = max_ / 2u;
+        unsigned v = value_;
+        return v > mid ? v - mid - 1 : mid - v;
     }
 
   private:
-    unsigned max_;
-    unsigned value_;
+    std::uint8_t max_;
+    std::uint8_t value_;
 };
 
 /**
@@ -63,10 +70,13 @@ class SignedSatCounter
 {
   public:
     explicit SignedSatCounter(unsigned bits = 3, int initial = 0)
-        : min_(-(1 << (bits - 1))), max_((1 << (bits - 1)) - 1),
-          value_(initial)
+        : min_(static_cast<std::int16_t>(-(1 << (bits - 1)))),
+          max_(static_cast<std::int16_t>((1 << (bits - 1)) - 1)),
+          value_(static_cast<std::int16_t>(initial))
     {
         trb_assert(bits >= 2 && bits <= 16, "SignedSatCounter bits");
+        trb_assert(initial >= min_ && initial <= max_,
+                   "SignedSatCounter initial value out of range");
     }
 
     void
@@ -84,9 +94,9 @@ class SignedSatCounter
     int max() const { return max_; }
 
   private:
-    int min_;
-    int max_;
-    int value_;
+    std::int16_t min_;
+    std::int16_t max_;
+    std::int16_t value_;
 };
 
 /**
@@ -104,8 +114,9 @@ class FoldedHistory
      * @param compressed_length width of the folded image
      */
     FoldedHistory(unsigned original_length, unsigned compressed_length)
-        : origLen_(original_length), compLen_(compressed_length),
-          outPoint_(original_length % compressed_length)
+        : compLen_(compressed_length),
+          outPoint_(original_length % compressed_length),
+          mask_(static_cast<std::uint32_t>((std::uint64_t{1} << compLen_) - 1))
     {
         trb_assert(compLen_ >= 1 && compLen_ <= 32, "folded width");
     }
@@ -120,16 +131,15 @@ class FoldedHistory
         comp_ = (comp_ << 1) | (new_bit ? 1u : 0u);
         comp_ ^= (evicted_bit ? 1u : 0u) << outPoint_;
         comp_ ^= comp_ >> compLen_;
-        comp_ &= (1u << compLen_) - 1u;
+        comp_ &= mask_;
     }
 
     std::uint32_t value() const { return comp_; }
-    unsigned originalLength() const { return origLen_; }
 
   private:
-    unsigned origLen_ = 0;
     unsigned compLen_ = 1;
     unsigned outPoint_ = 0;
+    std::uint32_t mask_ = 1;        //!< the low compLen_ bits
     std::uint32_t comp_ = 0;
 };
 

@@ -21,14 +21,14 @@ class IssueRing
     claim(Cycle wanted)
     {
         for (;;) {
+            // Branch-light on purpose: whether a cycle is fresh is
+            // data-dependent, and a host mispredict costs more than the
+            // select.
             Slot &s = slots_[wanted % kSize];
-            if (s.stamp != wanted) {
+            const bool fresh = s.stamp != wanted;
+            if (fresh | (s.count < width_)) {
+                s.count = fresh ? 1 : s.count + 1;
                 s.stamp = wanted;
-                s.count = 1;
-                return wanted;
-            }
-            if (s.count < width_) {
-                ++s.count;
                 return wanted;
             }
             ++wanted;
@@ -157,6 +157,7 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
 
     std::array<Cycle, 256> reg_ready{};
     std::vector<Cycle> rob_retire(params_.robSize, 0);
+    std::size_t rob_idx = 0;    // i % robSize, kept without a division
     IssueRing issue_ring(params_.issueWidth);
 
     Cycle fetch_available = 0;
@@ -223,17 +224,18 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
 
         // ---- Dispatch: front-end depth and ROB occupancy. ----
         Cycle dispatch = f + params_.frontendDepth;
-        Cycle rob_slot_free = rob_retire[i % params_.robSize];
+        Cycle rob_slot_free = rob_retire[rob_idx];
         if (rob_slot_free > dispatch) {
             dispatch = rob_slot_free;
             ++raw_.robFullStalls;
         }
 
         // ---- Register readiness and issue. ----
+        // Register 0 is "no register": its ready time is always 0, so
+        // the loops need no test (the writes below reset it).
         Cycle ready = dispatch + 1;
         for (RegId r : rec.srcRegs)
-            if (r != 0)
-                ready = std::max(ready, reg_ready[r]);
+            ready = std::max(ready, reg_ready[r]);
         Cycle issue = issue_ring.claim(ready);
 
         // ---- Execute. ----
@@ -253,8 +255,8 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
         }
 
         for (RegId r : rec.destRegs)
-            if (r != 0)
-                reg_ready[r] = complete;
+            reg_ready[r] = complete;
+        reg_ready[0] = 0;
 
         // ---- Branch resolution and redirects. ----
         BranchType br_type = BranchType::NotBranch;
@@ -308,7 +310,9 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
             retired_in_cycle = 0;
         last_retire = retire;
         ++retired_in_cycle;
-        rob_retire[i % params_.robSize] = retire;
+        rob_retire[rob_idx] = retire;
+        if (++rob_idx == rob_retire.size())
+            rob_idx = 0;
 
         // Stores write the hierarchy at retirement (latency off the
         // critical path, misses still counted).

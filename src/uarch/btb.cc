@@ -12,19 +12,22 @@ Btb::Btb(std::size_t entries, unsigned ways) : ways_(ways)
     std::size_t sets = entries / ways;
     trb_assert((sets & (sets - 1)) == 0, "BTB set count must be power of 2");
     setMask_ = sets - 1;
-    entries_.assign(entries, Entry{});
+    tags_.assign(entries, kEmpty);
+    payload_.assign(entries, Payload{});
 }
 
 BtbEntryView
 Btb::lookup(Addr pc)
 {
     ++lookups_;
-    Entry *set = &entries_[setIndex(pc) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tagOf(pc)) {
-            set[w].lru = ++clock_;
+    const Addr tag = tagOf(pc);
+    const std::size_t base = setBase(pc);
+    for (std::size_t s = base; s < base + ways_; ++s) {
+        if (tags_[s] == tag) {
+            Payload &p = payload_[s];
+            p.lru = ++clock_;
             ++hits_;
-            return {true, set[w].target, set[w].type};
+            return {true, p.target, p.type};
         }
     }
     return {};
@@ -33,25 +36,22 @@ Btb::lookup(Addr pc)
 void
 Btb::update(Addr pc, Addr target, BranchType type)
 {
-    Entry *set = &entries_[setIndex(pc) * ways_];
-    Entry *victim = &set[0];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tagOf(pc)) {
-            victim = &set[w];
+    // The way holding pc, else the first empty way, else the LRU way.
+    // Ways are never invalidated, so the empty ones follow the full ones
+    // and the scan can stop at the first empty way.
+    const Addr tag = tagOf(pc);
+    const std::size_t base = setBase(pc);
+    std::size_t victim = base;
+    for (std::size_t s = base; s < base + ways_; ++s) {
+        if (tags_[s] == tag || tags_[s] == kEmpty) {
+            victim = s;
             break;
         }
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].lru < victim->lru)
-            victim = &set[w];
+        if (payload_[s].lru < payload_[victim].lru)
+            victim = s;
     }
-    victim->valid = true;
-    victim->tag = tagOf(pc);
-    victim->target = target;
-    victim->type = type;
-    victim->lru = ++clock_;
+    tags_[victim] = tag;
+    payload_[victim] = {target, ++clock_, type};
 }
 
 } // namespace trb

@@ -3,7 +3,9 @@
  * Branch target buffer: set-associative with LRU replacement, storing the
  * branch type next to the target the way modern BTBs do (the type steers
  * the RAS and the indirect predictor).  The paper's configuration is 16K
- * entries.
+ * entries.  Each set's tags are contiguous (an empty way holds a
+ * sentinel tag), so a lookup scans one host cache line and then touches
+ * only the hit way's payload.
  */
 
 #ifndef TRB_UARCH_BTB_HH
@@ -42,21 +44,28 @@ class Btb
     std::uint64_t hits() const { return hits_; }
 
   private:
-    struct Entry
+    /** What a way holds besides its tag. */
+    struct Payload
     {
-        Addr tag = 0;
         Addr target = 0;
-        BranchType type = BranchType::NotBranch;
         std::uint64_t lru = 0;
-        bool valid = false;
+        BranchType type = BranchType::NotBranch;
     };
 
-    std::size_t setIndex(Addr pc) const { return (pc >> 2) & setMask_; }
+    /** Tag of an empty way (pc >> 2 never has all bits set). */
+    static constexpr Addr kEmpty = ~Addr{0};
+
     Addr tagOf(Addr pc) const { return pc >> 2; }
+    std::size_t
+    setBase(Addr pc) const
+    {
+        return (tagOf(pc) & setMask_) * ways_;
+    }
 
     std::size_t setMask_;
-    unsigned ways_;
-    std::vector<Entry> entries_;
+    std::size_t ways_;
+    std::vector<Addr> tags_;        //!< per way, kEmpty if unused
+    std::vector<Payload> payload_;
     std::uint64_t clock_ = 0;
     std::uint64_t lookups_ = 0;
     std::uint64_t hits_ = 0;
@@ -74,7 +83,7 @@ class Ras
     void
     push(Addr ret)
     {
-        top_ = (top_ + 1) % stack_.size();
+        top_ = top_ + 1 == stack_.size() ? 0 : top_ + 1;
         stack_[top_] = ret;
         if (depth_ < stack_.size())
             ++depth_;
@@ -86,7 +95,7 @@ class Ras
         if (depth_ == 0)
             return 0;
         Addr ret = stack_[top_];
-        top_ = (top_ + stack_.size() - 1) % stack_.size();
+        top_ = (top_ == 0 ? stack_.size() : top_) - 1;
         --depth_;
         return ret;
     }

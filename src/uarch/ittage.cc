@@ -1,5 +1,6 @@
 #include "uarch/ittage.hh"
 
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -27,7 +28,8 @@ Ittage::Ittage(const IttageConfig &config) : cfg_(config)
         idxFold_.emplace_back(histLen_[t], cfg_.log2Entries);
         tagFold_.emplace_back(histLen_[t], cfg_.tagBits);
     }
-    history_.assign(histLen_.back() + 2, 0);
+    history_.assign(std::bit_ceil(histLen_.back() + 1), 0);
+    histMask_ = history_.size() - 1;
 }
 
 std::size_t
@@ -73,14 +75,13 @@ Ittage::predict(Addr pc)
 void
 Ittage::pushHistoryBit(bool bit)
 {
-    std::size_t n = history_.size();
     for (unsigned t = 0; t < cfg_.numTables; ++t) {
-        unsigned len = idxFold_[t].originalLength();
-        std::uint8_t ev = history_[(histHead_ + n - (len - 1)) % n];
+        std::uint8_t ev =
+            history_[(histHead_ - (histLen_[t] - 1)) & histMask_];
         idxFold_[t].update(bit, ev);
         tagFold_[t].update(bit, ev);
     }
-    histHead_ = (histHead_ + 1) % n;
+    histHead_ = (histHead_ + 1) & histMask_;
     history_[histHead_] = bit ? 1 : 0;
 }
 

@@ -75,7 +75,9 @@ class Ittage
     std::vector<unsigned> histLen_;
     std::vector<FoldedHistory> idxFold_;
     std::vector<FoldedHistory> tagFold_;
+    /** Circular history, a power of two above the longest length. */
     std::vector<std::uint8_t> history_;
+    std::size_t histMask_ = 0;
     std::size_t histHead_ = 0;
 
     Prediction last_;

@@ -1,6 +1,7 @@
 #include "uarch/tage.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -35,9 +36,10 @@ TageScL::TageScL(const TageConfig &config) : cfg_(config)
         tagFold2_.emplace_back(histLen_[t], cfg_.tagBits - 1);
     }
 
-    history_.assign(histLen_.back() + 2, 0);
-    scTable_.assign(1024, SignedSatCounter(6, 0));
-    loopTable_.assign(256, LoopEntry{});
+    history_.assign(std::bit_ceil(histLen_.back() + 1), 0);
+    histMask_ = history_.size() - 1;
+    scTable_.assign(kScEntries, SignedSatCounter(6, 0));
+    loopTable_.assign(kLoopEntries, LoopEntry{});
 }
 
 std::size_t
@@ -107,7 +109,7 @@ TageScL::lookup(Addr pc)
 bool
 TageScL::loopPredict(Addr pc, bool &prediction, bool &high_confidence)
 {
-    const LoopEntry &e = loopTable_[(pc >> 2) % loopTable_.size()];
+    const LoopEntry &e = loopTable_[(pc >> 2) & (kLoopEntries - 1)];
     std::uint16_t tag = static_cast<std::uint16_t>((pc >> 10) & 0xffff);
     if (!e.valid || e.tag != tag || e.tripCount == 0)
         return false;
@@ -119,7 +121,7 @@ TageScL::loopPredict(Addr pc, bool &prediction, bool &high_confidence)
 void
 TageScL::loopUpdate(Addr pc, bool taken)
 {
-    LoopEntry &e = loopTable_[(pc >> 2) % loopTable_.size()];
+    LoopEntry &e = loopTable_[(pc >> 2) & (kLoopEntries - 1)];
     std::uint16_t tag = static_cast<std::uint16_t>((pc >> 10) & 0xffff);
     if (!e.valid || e.tag != tag) {
         // Adopt the slot lazily (no useful bits in the lite version).
@@ -159,8 +161,8 @@ TageScL::predict(Addr pc)
 
     if (cfg_.useStatisticalCorrector && !last_.loopUsed) {
         // Consult the corrector when the TAGE prediction is weak.
-        std::size_t idx =
-            ((pc >> 2) ^ (idxFold_.front().value() * 3)) % scTable_.size();
+        std::size_t idx = ((pc >> 2) ^ (idxFold_.front().value() * 3)) &
+                          (kScEntries - 1);
         last_.scIndex = idx;
         bool provider_weak =
             last_.provider < 0 ||
@@ -182,18 +184,16 @@ TageScL::updateHistories(Addr pc, bool taken)
 {
     std::uint8_t bit = taken ? 1 : 0;
     (void)pc;
-    std::size_t n = history_.size();
 
     // Evicted bits must be read before the head moves.
     for (unsigned t = 0; t < cfg_.numTables; ++t) {
-        unsigned l_idx = idxFold_[t].originalLength();
         std::uint8_t ev =
-            history_[(histHead_ + n - (l_idx - 1)) % n];
+            history_[(histHead_ - (histLen_[t] - 1)) & histMask_];
         idxFold_[t].update(bit, ev);
         tagFold1_[t].update(bit, ev);
         tagFold2_[t].update(bit, ev);
     }
-    histHead_ = (histHead_ + 1) % n;
+    histHead_ = (histHead_ + 1) & histMask_;
     history_[histHead_] = bit;
 }
 

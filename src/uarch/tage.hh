@@ -96,10 +96,18 @@ class TageScL : public DirectionPredictor
     std::vector<FoldedHistory> tagFold1_;
     std::vector<FoldedHistory> tagFold2_;
 
-    std::vector<std::uint8_t> history_;   //!< circular global history
+    /**
+     * Circular global history.  Its length is a power of two above the
+     * longest history, so an index wraps with a mask, and every bit a
+     * fold reads is the one pushed that many branches ago.
+     */
+    std::vector<std::uint8_t> history_;
+    std::size_t histMask_ = 0;
     std::size_t histHead_ = 0;
 
     SignedSatCounter useAltOnNa_{4, 0};
+    static constexpr std::size_t kScEntries = 1024;     //!< power of two
+    static constexpr std::size_t kLoopEntries = 256;    //!< power of two
     std::vector<SignedSatCounter> scTable_;
     SignedSatCounter scThreshold_{6, 0};
 

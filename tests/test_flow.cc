@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <initializer_list>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -251,6 +252,14 @@ struct FixtureCase
     const char *file;
     const char *rule;
 };
+
+// Without this gtest prints the two pointers' bytes after "GetParam() =",
+// and the CTest names gtest_discover_tests builds from that listing would
+// change with the load address on every build.
+void PrintTo(const FixtureCase &fc, std::ostream *os)
+{
+    *os << fc.rule;
+}
 
 class CfgFixture : public ::testing::TestWithParam<FixtureCase>
 {

@@ -7,6 +7,11 @@
  * resolution).
  */
 
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -360,35 +365,97 @@ TEST(O3Core, StoresCountInDataCacheStats)
     EXPECT_GT(s.l1dMisses, 900u);
 }
 
+/**
+ * Every timing invariant the single-pass scheduler promises, checked on
+ * one traced run: per-instruction stage order, in-order retirement, the
+ * fetch/issue/retire widths and the ROB bound.  Returns the number of
+ * violations (each also reported as a test failure).
+ */
+std::size_t
+checkTimingInvariants(const std::vector<obs::InstrEvent> &events,
+                      const CoreParams &p, const std::string &what)
+{
+    std::size_t violations = 0;
+    auto expect = [&](bool ok, std::uint64_t seq, const char *rule) {
+        if (ok)
+            return;
+        ++violations;
+        ADD_FAILURE() << what << ": " << rule << " at seq " << seq;
+    };
+
+    std::unordered_map<Cycle, unsigned> fetched, issued, retired;
+    Cycle last_retire = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const obs::InstrEvent &ev = events[i];
+        expect(ev.seq == i, ev.seq, "sequence numbers dense");
+        expect(ev.fetch <= ev.dispatch, ev.seq, "fetch <= dispatch");
+        expect(ev.dispatch < ev.issue, ev.seq, "dispatch < issue");
+        expect(ev.issue < ev.complete, ev.seq, "issue < complete");
+        expect(ev.complete < ev.retire, ev.seq, "complete < retire");
+        expect(ev.retire >= last_retire, ev.seq, "retire monotone");
+        last_retire = ev.retire;
+        expect(++fetched[ev.fetch] <= p.fetchWidth, ev.seq, "fetch width");
+        expect(++issued[ev.issue] <= p.issueWidth, ev.seq, "issue width");
+        expect(++retired[ev.retire] <= p.retireWidth, ev.seq,
+               "retire width");
+        if (i >= p.robSize)
+            expect(ev.dispatch >= events[i - p.robSize].retire, ev.seq,
+                   "dispatch after the ROB slot's previous retire");
+        if (violations > 10)
+            break;      // one broken rule floods the log otherwise
+    }
+    return violations;
+}
+
 TEST(O3Core, TracedStampsAreOrderedAndRetireMonotonic)
 {
-    // A realistic mix (branches, loads, misses) through the tracer: every
-    // instruction's stamps must respect pipeline order, and retirement is
-    // in-order, so retire stamps never go backwards across the sequence.
-    TraceGenerator gen(serverParams(17));
-    CvpTrace cvp = gen.generate(8000);
-    Cvp2ChampSim conv(kAllImps);
-    ChampSimTrace trace = conv.convert(cvp);
+    // A property test over realistic mixes (branches, loads, misses).
+    auto check = [](const ChampSimTrace &trace, const CoreParams &p,
+                    const std::string &what) {
+        obs::PipelineTracer tracer(trace.size());
+        O3Core core(p);
+        core.setTracer(&tracer);
+        core.run(trace);
+        ASSERT_EQ(tracer.recorded(), trace.size()) << what;
+        EXPECT_EQ(checkTimingInvariants(tracer.events(), p, what), 0u);
+    };
 
-    obs::PipelineTracer tracer(trace.size());
-    O3Core core(modernConfig());
-    core.setTracer(&tracer);
-    core.run(trace);
+    // The original single case: server seed 17, 8000 instructions.
+    TraceGenerator server17(serverParams(17));
+    check(Cvp2ChampSim(kAllImps).convert(server17.generate(8000)),
+          modernConfig(), "server seed 17 x 8000 All_imps modern");
+    if (HasFailure())
+        return;
 
-    ASSERT_EQ(tracer.recorded(), trace.size());
-    auto events = tracer.events();
-    ASSERT_EQ(events.size(), trace.size());
+    // 5 presets x 8 seeds x {No_imp, All_imps} x {modern, ipc1}.
+    using Preset = WorkloadParams (*)(std::uint64_t);
+    const std::pair<const char *, Preset> presets[] = {
+        {"int", computeIntParams}, {"fp", computeFpParams},
+        {"crypto", cryptoParams},  {"server", serverParams},
+        {"membound", memoryBoundParams}};
+    const std::uint64_t kLength = 20000;
 
-    Cycle last_retire = 0;
-    for (const obs::InstrEvent &ev : events) {
-        EXPECT_LE(ev.fetch, ev.dispatch) << "seq " << ev.seq;
-        EXPECT_LE(ev.dispatch, ev.issue) << "seq " << ev.seq;
-        EXPECT_LE(ev.issue, ev.complete) << "seq " << ev.seq;
-        EXPECT_LE(ev.complete, ev.retire) << "seq " << ev.seq;
-        EXPECT_GE(ev.retire, last_retire)
-            << "retire went backwards at seq " << ev.seq;
-        last_retire = ev.retire;
+    std::size_t runs = 0;
+    for (const auto &[preset_name, preset] : presets) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            TraceGenerator gen(preset(seed));
+            CvpTrace cvp = gen.generate(kLength);
+            for (ImprovementSet imps : {ImprovementSet{kImpNone}, kAllImps}) {
+                ChampSimTrace trace = Cvp2ChampSim(imps).convert(cvp);
+                for (bool ipc1 : {false, true}) {
+                    std::string what = std::string(preset_name) + " seed " +
+                                       std::to_string(seed) +
+                                       (imps ? " All_imps" : " No_imp") +
+                                       (ipc1 ? " ipc1" : " modern");
+                    check(trace, ipc1 ? ipc1Config() : modernConfig(), what);
+                    if (HasFailure())
+                        return;
+                    ++runs;
+                }
+            }
+        }
     }
+    EXPECT_EQ(runs, 160u);
 }
 
 TEST(O3Core, TinyRobCountsFullStalls)

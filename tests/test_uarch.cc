@@ -239,6 +239,21 @@ TEST(Btb, LruEvictionWithinSet)
     EXPECT_EQ(present, 4);
 }
 
+TEST(Btb, LookupRefreshesRecency)
+{
+    Btb btb(64, 4);   // 16 sets
+    Addr stride = 16 * 4;
+    for (int i = 0; i < 4; ++i)
+        btb.update(0x1000 + i * stride, 0x9000 + i, BranchType::DirectJump);
+    // A hit makes the oldest mapping the newest: the next one goes.
+    EXPECT_TRUE(btb.lookup(0x1000).hit);
+    btb.update(0x1000 + 4 * stride, 0x9004, BranchType::DirectJump);
+    EXPECT_TRUE(btb.lookup(0x1000).hit);
+    EXPECT_FALSE(btb.lookup(0x1000 + stride).hit);
+    EXPECT_EQ(btb.hits(), 2u);
+    EXPECT_EQ(btb.lookups(), 3u);
+}
+
 TEST(Btb, CapacityHoldsWorkingSet)
 {
     Btb btb(16384, 8);
