@@ -22,7 +22,7 @@ runBench(const std::string &name, const std::string &title,
     if (!title.empty())
         std::printf("%s\n\n", title.c_str());
     {
-        obs::SpanScope span("bench." + name, "bench");
+        obs::SpanScope span("bench", name);
         body();
     }
 

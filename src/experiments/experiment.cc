@@ -68,8 +68,8 @@ generateTraceWithFaults(const TraceSpec &spec)
         return Status::ioError("injected transient failure producing trace")
             .at(spec.name);
     CvpTrace trace = [&] {
-        obs::ScopeTimer timer("generate");
-        timer.setItems(spec.length);
+        obs::SpanScope span("generate");
+        span.setItems(spec.length);
         TraceGenerator gen(spec.params);
         return gen.generate(spec.length);
     }();
@@ -100,16 +100,9 @@ forEachTrace(const std::vector<TraceSpec> &suite,
     const resil::RetryPolicy policy = resil::RetryPolicy::fromEnv();
     const std::size_t preexisting = failures->size();
     pool.parallelFor(count, [&](std::size_t i) {
-        // One timeline span per trace on its worker's lane (generation,
-        // retries and the caller's fn all inside it).
-        obs::SpanScope trace_span("trace." + suite[i].name, "trace");
-        // Per-worker throughput shows up in the phase profile as
-        // worker.<id>; skipped in serial mode so TRB_JOBS=1 reports
-        // exactly what the serial harness always reported.
-        std::unique_ptr<obs::ScopeTimer> worker_timer;
-        if (pool.jobs() > 1)
-            worker_timer = std::make_unique<obs::ScopeTimer>(
-                "worker." + std::to_string(par::workerId()));
+        // One span per trace on its worker's lane (generation, retries
+        // and the caller's fn all inside it).
+        obs::SpanScope trace_span("trace", suite[i].name);
         Expected<CvpTrace> trace =
             resil::withRetries(policy, suite[i].name, [&] {
                 return generateTraceWithFaults(suite[i]);
@@ -126,8 +119,6 @@ forEachTrace(const std::vector<TraceSpec> &suite,
             progress.step(i, 0);
             return;
         }
-        if (worker_timer)
-            worker_timer->setItems(trace.value().size());
         trace_span.setItems(trace.value().size());
         fn(i, suite[i], trace.value());
         progress.step(i, trace.value().size());
@@ -166,32 +157,23 @@ namespace
 
 /**
  * Identity of a sweep for checkpoint purposes: the visited suite (names
- * and lengths), the improvement sets, and the core configuration.  Two
- * runs with the same signature compute the same cells, so resuming one
- * from the other's manifest is sound; anything else starts fresh.
+ * and lengths), the improvement sets, and the whole core configuration
+ * as the store keys it.  Two runs with the same signature compute the
+ * same cells, so resuming one from the other's manifest is sound;
+ * anything else starts fresh.
  */
 std::string
 sweepSignature(const std::vector<TraceSpec> &suite,
                const std::vector<NamedSet> &sets, const CoreParams &params,
                std::size_t count)
 {
-    std::string ident = "v1;n" + std::to_string(count) + ";";
+    std::string ident = "v2;n" + std::to_string(count) + ";";
     for (std::size_t i = 0; i < count && i < suite.size(); ++i)
         ident += suite[i].name + ":" +
                  std::to_string(suite[i].length) + ";";
     for (const NamedSet &s : sets)
         ident += std::string(s.name) + ";";
-    for (unsigned v :
-         {params.fetchWidth, params.issueWidth, params.retireWidth,
-          params.robSize, params.frontendDepth, params.mispredictPenalty,
-          params.decodeRedirectPenalty, params.ftqLookahead,
-          static_cast<unsigned>(params.decoupledFrontEnd),
-          static_cast<unsigned>(params.idealTargets),
-          static_cast<unsigned>(params.rules),
-          static_cast<unsigned>(params.dirPred),
-          static_cast<unsigned>(params.btbEntries), params.btbWays,
-          static_cast<unsigned>(params.rasEntries)})
-        ident += std::to_string(v) + ",";
+    ident += coreParamsKey(params);
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (char c : ident)
         h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
@@ -246,7 +228,7 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
     par::ThreadPool &pool = par::ThreadPool::global();
     const bool storing = store::Store::global() != nullptr;
-    obs::SpanScope sweep_span("sweep", "sweep");
+    obs::SpanScope sweep_span("sweep");
     forEachTrace(
         suite,
         [&](std::size_t i, const TraceSpec &, const CvpTrace &cvp) {
@@ -297,9 +279,8 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
                         return;
                     }
                 }
-                obs::ScopeTimer set_timer(std::string("set.") +
-                                          sets[k].name);
-                set_timer.setItems(cvp.size());
+                obs::SpanScope set_span("set", sets[k].name);
+                set_span.setItems(cvp.size());
                 SimStats s = simulate(cvp, {.imps = sets[k].set,
                                             .params = params,
                                             .cvpDigest = digest_ptr})
@@ -317,14 +298,12 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
         failures);
     // Post-join, single-threaded: the summary gauges land in the
     // registry in series order whatever the task schedule was.
-    std::uint64_t swept_items = 0;
     std::vector<std::uint64_t> ratio_bits;
     for (const DeltaSeries &s : series) {
         reg.setGauge("sweep." + s.setName + ".geomean_delta_percent",
                      s.geomeanDeltaPercent());
         for (double r : s.ratio)
             ratio_bits.push_back(doubleBits(r));
-        swept_items += s.ratio.size();
     }
     // Bit-exact provenance of the whole result matrix: two runs that
     // computed the same ratios -- whatever the TRB_JOBS schedule --
@@ -335,7 +314,6 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
                                       ratio_bits.size() *
                                           sizeof(std::uint64_t))
                        .lo);
-    sweep_span.setItems(swept_items);
     return series;
 }
 

@@ -7,7 +7,7 @@
 
 #include "flow/rules.hh"
 #include "obs/metrics.hh"
-#include "obs/profile.hh"
+#include "obs/span.hh"
 #include "store/store.hh"
 
 namespace trb
@@ -114,7 +114,7 @@ resolveRegions(FlowResult &result, const ChampSimTrace &trace,
 {
     if (opts.regionUops == 0)
         return;
-    obs::ScopeTimer timer("analyze.regions");
+    obs::SpanScope span("analyze.regions");
     store::Store *cache =
         opts.useStore ? store::Store::global() : nullptr;
     if (cache != nullptr) {
@@ -149,16 +149,16 @@ analyzeTail(FlowResult &result, const ChampSimTrace &trace,
             const std::string &digest_hex, const FlowOptions &opts)
 {
     {
-        obs::ScopeTimer timer("analyze.cfg");
+        obs::SpanScope span("analyze.cfg");
         result.cfg =
             buildCfg(trace, opts.lint.limits.maxContiguousStep);
     }
     {
-        obs::ScopeTimer timer("analyze.dataflow");
+        obs::SpanScope span("analyze.dataflow");
         result.dataflow = solveDataflow(result.cfg);
     }
     {
-        obs::ScopeTimer timer("analyze.rules");
+        obs::SpanScope span("analyze.rules");
         CfgSink sink(opts.lint.maxDiagnosticsPerRule);
         runCfgRules(result.cfg, result.dataflow, opts.lint.limits,
                     resolveCfgRules(opts.lint), sink);
@@ -182,7 +182,7 @@ analyzeTrace(const ChampSimTrace &trace, const FlowOptions &opts)
 {
     FlowResult result;
     {
-        obs::ScopeTimer timer("analyze.lint");
+        obs::SpanScope span("analyze.lint");
         result.report = lint::lintTrace(trace, opts.lint);
     }
     analyzeTail(result, trace,
@@ -196,7 +196,7 @@ analyzeConverted(const CvpTrace &cvp, const ChampSimTrace &trace,
 {
     FlowResult result;
     {
-        obs::ScopeTimer timer("analyze.lint");
+        obs::SpanScope span("analyze.lint");
         result.report = lint::lintConverted(cvp, trace, opts.lint);
     }
     analyzeTail(result, trace, store::digestCvpTrace(cvp).hex(), opts);

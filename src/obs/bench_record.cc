@@ -23,7 +23,7 @@ namespace trb
 namespace obs
 {
 
-const char *const kBenchSchema = "trb-bench-v1";
+const char *const kBenchSchema = "trb-bench-v2";
 
 namespace
 {
@@ -81,30 +81,31 @@ renderBenchRecord(std::ostream &os, const std::string &bench_name,
     os << (*sep ? "\n  " : "") << "},\n";
 
     // Per-phase wall time and throughput: the per-metric provenance a
-    // perf diff gates on.  "worker.N" lanes are included (they carry
-    // per-worker instr/s) but excluded from the totals below.
+    // perf diff gates on.  Inclusive seconds nest; self seconds do not,
+    // so only they add up to the total below.
     os << "  \"phases\": {";
     sep = "";
-    std::uint64_t total_items = 0;
     double phase_seconds = 0.0;
+    std::uint64_t items = 0;
     for (const PhaseProfile::Entry &e : phases.entries()) {
         os << sep << "\n    " << jsonQuote(e.name) << ": {\"seconds\": "
-           << jsonDouble(e.seconds) << ", \"calls\": " << e.calls
+           << jsonDouble(e.seconds) << ", \"self_seconds\": "
+           << jsonDouble(e.selfSeconds) << ", \"calls\": " << e.calls
            << ", \"items\": " << e.items << ", \"items_per_second\": "
            << jsonDouble(e.itemsPerSecond()) << "}";
         sep = ",";
-        if (e.name.rfind("worker.", 0) != 0) {
-            total_items += e.items;
-            phase_seconds += e.seconds;
-        }
+        phase_seconds += e.selfSeconds;
+        if (e.name == kSimulatePhase)
+            items = e.items;
     }
     os << (*sep ? "\n  " : "") << "},\n";
 
-    os << "  \"totals\": {\"items\": " << total_items
+    // The headline: records run through O3Core per wall second.
+    os << "  \"totals\": {\"items\": " << items
        << ", \"phase_seconds\": " << jsonDouble(phase_seconds)
        << ", \"items_per_second\": "
        << jsonDouble(wall_seconds > 0.0
-                         ? static_cast<double>(total_items) / wall_seconds
+                         ? static_cast<double>(items) / wall_seconds
                          : 0.0)
        << "},\n";
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * BENCH run manifests: every bench binary ends its run by writing a
- * schema-versioned BENCH_<name>.json record -- wall-clock and items/s
- * per phase, the full metrics registry (counters and gauges, which
+ * schema-versioned BENCH_<name>.json record -- inclusive and self
+ * seconds and items/s per phase, the simulated-records-per-wall-second
+ * headline, the full metrics registry (counters and gauges, which
  * carry the SimStats digests and store hit/miss counts), the trb::env
  * fingerprint (every registered TRB_* variable that was set), hostname
  * and git SHA -- the repo's tracked instr/s baseline.
@@ -30,7 +31,7 @@ namespace obs
 class MetricsRegistry;
 class PhaseProfile;
 
-/** The manifest schema identifier ("trb-bench-v1"). */
+/** The manifest schema identifier ("trb-bench-v2"). */
 extern const char *const kBenchSchema;
 
 /**

@@ -18,8 +18,8 @@
  * at-exit dump.  Mutating *through a cached reference* is lock-free and
  * therefore only safe while a single thread owns that path -- parallel
  * harness code routes hot updates through a ThreadMetricsBuffer (one
- * buffer per task, flushed at task end) or a ShardedMetricsRegistry
- * instead; micro_components benchmarks both strategies.
+ * buffer per task, flushed at task end) instead; micro_components
+ * benchmarks it against the locked registry.
  *
  * TRB_OBS_JSON=<path> / TRB_OBS_CSV=<path> make obs::finish() (called by
  * the bench mains) write the global registry out at process end.
@@ -169,40 +169,7 @@ class MetricsRegistry
 };
 
 /**
- * Concurrency strategy 1: a registry split into independently locked
- * shards, routed by path hash.  Concurrent updates of *different* paths
- * mostly hit different shards, so contention drops roughly by the shard
- * count; updates of the same path serialise on one shard lock but stay
- * correct.  mergeInto() folds the shards back into a plain registry
- * (shard-major, insertion order within a shard) for export.
- */
-class ShardedMetricsRegistry
-{
-  public:
-    static constexpr std::size_t kShards = 16;
-
-    /** Locked add on the owning shard. */
-    void addCounter(const std::string &path, std::uint64_t delta = 1);
-
-    /** Locked set on the owning shard. */
-    void setGauge(const std::string &path, double v);
-
-    /** Sum of a counter across shards (it lives in exactly one). */
-    std::uint64_t counterValue(const std::string &path) const;
-    double gaugeValue(const std::string &path) const;
-
-    /** Fold every shard's entries into @p target (locked adds/sets). */
-    void mergeInto(MetricsRegistry &target) const;
-
-  private:
-    MetricsRegistry &shard(const std::string &path);
-    const MetricsRegistry &shard(const std::string &path) const;
-
-    MetricsRegistry shards_[kShards];
-};
-
-/**
- * Concurrency strategy 2: a per-task (or per-thread) buffer of metric
+ * Contended writers: a per-task (or per-thread) buffer of metric
  * updates, flushed into a shared registry in one batch.  The hot path
  * touches only thread-local memory; the shared lock is taken once per
  * flush instead of once per update.  Destruction flushes, so the
@@ -247,8 +214,8 @@ class ThreadMetricsBuffer
 std::string jsonQuote(const std::string &s);
 
 /**
- * Export accumulated phase wall-times into the global registry, log the
- * phase report (at info level) and honour TRB_OBS_JSON / TRB_OBS_CSV /
+ * Export the phase table into the global registry, log the phase
+ * report (at info level) and honour TRB_OBS_JSON / TRB_OBS_CSV /
  * TRB_OBS_SPANS (the merged Chrome trace).  Every bench main calls this
  * before exiting; calling it again is a no-op -- the exports happen
  * exactly once per process, so layered teardown paths (a bench's own

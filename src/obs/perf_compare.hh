@@ -1,7 +1,7 @@
 /**
  * @file
  * Perf-regression comparison over BENCH run manifests: diff a baseline
- * and a candidate trb-bench-v1 record metric-by-metric, apply per-metric
+ * and a candidate trb-bench record metric-by-metric, apply per-metric
  * noise thresholds, and produce a verdict table.  This is the library
  * half of tools/trace_perf; it works on parsed JsonFlat documents so
  * tests can drive it without touching the filesystem.
@@ -69,7 +69,7 @@ struct PerfCompareResult
 };
 
 /**
- * Compare two parsed trb-bench-v1 records.  Sets @c error (and nothing
+ * Compare two parsed trb-bench records.  Sets @c error (and nothing
  * else) when the schemas disagree or the baseline has no gated metric
  * at all -- an empty gate would vacuously pass forever.
  */

@@ -11,8 +11,6 @@
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "obs/metrics.hh"
-#include "obs/span.hh"
-#include "par/thread_pool.hh"
 
 namespace trb
 {
@@ -20,45 +18,35 @@ namespace obs
 {
 
 void
-PhaseProfile::add(const std::string &phase, double seconds,
-                  std::uint64_t items)
+PhaseProfile::add(std::string_view phase, double seconds,
+                  double self_seconds, std::uint64_t items)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(phase);
-    if (it == index_.end()) {
-        it = index_.emplace(phase, entries_.size()).first;
-        entries_.push_back({phase, 0.0, 0, 0});
-    }
-    Entry &e = entries_[it->second];
-    e.seconds += seconds;
-    ++e.calls;
-    e.items += items;
+    auto it = std::find_if(entries_.begin(), entries_.end(),
+                           [&](const Entry &e) { return e.name == phase; });
+    if (it == entries_.end())
+        it = entries_.insert(it, Entry{std::string(phase)});
+    it->seconds += seconds;
+    it->selfSeconds += self_seconds;
+    ++it->calls;
+    it->items += items;
 }
 
-double
-PhaseProfile::seconds(const std::string &phase) const
+std::vector<PhaseProfile::Entry>
+PhaseProfile::entries() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(phase);
-    return it == index_.end() ? 0.0 : entries_[it->second].seconds;
+    return entries_;
 }
 
 std::uint64_t
-PhaseProfile::totalItems() const
+PhaseProfile::items(std::string_view phase) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
     for (const Entry &e : entries_)
-        if (e.name.rfind("worker.", 0) != 0)
-            total += e.items;
-    return total;
-}
-
-bool
-PhaseProfile::empty() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.empty();
+        if (e.name == phase)
+            return e.items;
+    return 0;
 }
 
 void
@@ -66,21 +54,24 @@ PhaseProfile::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
-    index_.clear();
 }
 
 std::string
 PhaseProfile::report(const std::string &prefix) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    double total = 0.0;
-    for (const Entry &e : entries_)
-        total += e.seconds;
+    const std::vector<Entry> rows = entries();
+    double total_self = 0.0;
+    for (const Entry &e : rows)
+        total_self += e.selfSeconds;
 
     std::ostringstream os;
-    for (const Entry &e : entries_) {
-        os << prefix << e.name << " " << fmtDouble(e.seconds, 3) << "s ("
-           << fmtDouble(total > 0.0 ? 100.0 * e.seconds / total : 0.0, 1)
+    for (const Entry &e : rows) {
+        os << prefix << e.name << " " << fmtDouble(e.seconds, 3)
+           << "s self " << fmtDouble(e.selfSeconds, 3) << "s ("
+           << fmtDouble(total_self > 0.0
+                            ? 100.0 * e.selfSeconds / total_self
+                            : 0.0,
+                        1)
            << "%) " << e.calls << " calls";
         if (e.items)
             os << " " << fmtDouble(e.itemsPerSecond() / 1e6, 2)
@@ -93,10 +84,10 @@ PhaseProfile::report(const std::string &prefix) const
 void
 PhaseProfile::exportTo(MetricsRegistry &reg, const std::string &prefix) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry &e : entries_) {
+    for (const Entry &e : entries()) {
         const std::string base = prefix + "." + e.name;
         reg.setGauge(base + ".seconds", e.seconds);
+        reg.setGauge(base + ".self_seconds", e.selfSeconds);
         reg.setCounter(base + ".calls", e.calls);
         if (e.items) {
             reg.setCounter(base + ".items", e.items);
@@ -110,22 +101,6 @@ PhaseProfile::global()
 {
     static PhaseProfile profile;
     return profile;
-}
-
-ScopeTimer::~ScopeTimer()
-{
-    const double secs = elapsed();
-    profile_.add(phase_, secs, items_);
-    if (&profile_ == &PhaseProfile::global() && SpanTimeline::enabled()) {
-        SpanEvent ev;
-        ev.name = std::move(phase_);
-        ev.category = "phase";
-        ev.durUs = secs * 1e6;
-        ev.startUs = SpanTimeline::nowUs() - ev.durUs;
-        ev.worker = static_cast<std::uint32_t>(par::workerId());
-        ev.items = items_;
-        SpanTimeline::global().record(std::move(ev));
-    }
 }
 
 SuiteProgress::Style

@@ -1,19 +1,20 @@
 /**
  * @file
- * Phase profiling: RAII wall-clock scope timers accumulating into named
- * phases ("generate", "convert", "simulate", "set.All", "worker.3") plus
- * a suite progress reporter, so every experiment can answer "which stage
- * of the run dominates?" and report instructions/second per stage.
+ * The phase table and the suite progress reporter.
  *
- * The experiment harness times its stages automatically; bench binaries
- * surface the accumulated table via obs::finish().  Profiling costs two
- * steady_clock reads plus one short lock per scope, negligible against
- * the thousands of simulated instructions each scope covers.
+ * PhaseProfile is the per-phase table every bench prints at exit and
+ * writes into its run manifest: calls, inclusive seconds, self seconds
+ * and items per phase name ("generate", "convert", "simulate", "trace",
+ * ...).  It has no timer of its own -- every row is folded from
+ * completed obs::SpanScope spans (span.hh), the one timed scope type,
+ * so the table and the Chrome timeline describe the same scopes.  Self
+ * seconds exclude the child spans that ran on the same thread, so they
+ * add up to no more than wall time x threads however deeply phases nest.
  *
  * Thread safety: PhaseProfile::add() and SuiteProgress::step() are safe
- * from concurrent pool workers (the parallel harness times every task);
- * under TRB_JOBS>1 the *first-seen order* of phases depends on the
- * schedule, but the accumulated seconds/calls/items per phase do not.
+ * from concurrent pool workers; every reader takes the same lock.
+ * Under TRB_JOBS>1 the *first-seen order* of phases depends on the
+ * schedule, but the accumulated calls/items per phase do not.
  */
 
 #ifndef TRB_OBS_PROFILE_HH
@@ -21,10 +22,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <vector>
 
 namespace trb
 {
@@ -33,16 +34,23 @@ namespace obs
 
 class MetricsRegistry;
 
-/** Accumulated wall-time (and item throughput) per named phase. */
+/**
+ * The phase whose items are the run's headline: records run through
+ * O3Core.  The manifest totals and the sampler's rate both count it.
+ */
+inline constexpr const char *kSimulatePhase = "simulate";
+
+/** Accumulated wall time (and item throughput) per phase name. */
 class PhaseProfile
 {
   public:
     struct Entry
     {
         std::string name;
-        double seconds = 0.0;
+        double seconds = 0.0;       //!< inclusive of child spans
+        double selfSeconds = 0.0;   //!< minus same-thread child spans
         std::uint64_t calls = 0;
-        std::uint64_t items = 0;   //!< e.g. instructions processed
+        std::uint64_t items = 0;    //!< e.g. instructions processed
 
         double
         itemsPerSecond() const
@@ -51,96 +59,37 @@ class PhaseProfile
         }
     };
 
-    /** Fold one timed scope into @p phase (locked, any thread). */
-    void add(const std::string &phase, double seconds,
+    /** Fold one completed span into @p phase (locked, any thread). */
+    void add(std::string_view phase, double seconds, double self_seconds,
              std::uint64_t items = 0);
 
-    /**
-     * All phases in first-seen order.  Not synchronised against
-     * writers: only use once concurrent scopes have quiesced.
-     */
-    const std::deque<Entry> &entries() const { return entries_; }
+    /** Copy of every phase, in first-seen order. */
+    std::vector<Entry> entries() const;
 
-    /** Accumulated seconds of a phase; 0 if absent. */
-    double seconds(const std::string &phase) const;
-
-    /**
-     * Sum of items across phases, excluding the per-worker "worker.N"
-     * lanes (those re-count the items of the phases that ran on them).
-     * The sampler's rolling items/second rate differentiates this.
-     */
-    std::uint64_t totalItems() const;
-
-    bool empty() const;
+    /** Items accumulated by @p phase; 0 if absent. */
+    std::uint64_t items(std::string_view phase) const;
 
     void clear();
 
     /**
-     * Render a table: phase, wall seconds, share of the total, calls,
-     * and items/second where items were recorded.
+     * Render a table: phase, inclusive and self seconds, the self share
+     * of all self time, calls, and items/second where items were
+     * recorded.
      */
     std::string report(const std::string &prefix = "") const;
 
     /**
-     * Export as gauges/counters under @p prefix:
-     * <prefix>.<phase>.seconds, .calls, .items, .items_per_second.
+     * Export as gauges/counters under @p prefix: <prefix>.<phase>.seconds,
+     * .self_seconds, .calls, .items, .items_per_second.
      */
     void exportTo(MetricsRegistry &reg, const std::string &prefix) const;
 
-    /** The process-wide profile the harness and benches share. */
+    /** The process-wide table every SpanScope feeds. */
     static PhaseProfile &global();
 
   private:
     mutable std::mutex mutex_;
-    std::deque<Entry> entries_;
-    std::unordered_map<std::string, std::size_t> index_;
-};
-
-/**
- * RAII wall-clock timer: accumulates its lifetime into a phase of the
- * global (or a given) PhaseProfile on destruction.
- *
- * When the span timeline is enabled (TRB_OBS_SPANS), every scope on the
- * *global* profile also lands in the timeline as a "phase"-category
- * span on its worker's lane, so the phase table and the Chrome trace
- * describe the same scopes.  A scope on a private profile (tests) stays
- * out of the timeline.
- */
-class ScopeTimer
-{
-  public:
-    explicit ScopeTimer(std::string phase)
-        : ScopeTimer(PhaseProfile::global(), std::move(phase))
-    {}
-
-    ScopeTimer(PhaseProfile &profile, std::string phase)
-        : profile_(profile), phase_(std::move(phase)),
-          start_(std::chrono::steady_clock::now())
-    {}
-
-    ScopeTimer(const ScopeTimer &) = delete;
-    ScopeTimer &operator=(const ScopeTimer &) = delete;
-
-    /** Attach an item count (e.g. instructions) for throughput. */
-    void setItems(std::uint64_t items) { items_ = items; }
-    void addItems(std::uint64_t items) { items_ += items; }
-
-    /** Seconds elapsed so far. */
-    double
-    elapsed() const
-    {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start_)
-            .count();
-    }
-
-    ~ScopeTimer();
-
-  private:
-    PhaseProfile &profile_;
-    std::string phase_;
-    std::chrono::steady_clock::time_point start_;
-    std::uint64_t items_ = 0;
+    std::vector<Entry> entries_;   // a handful of rows: scanned, not hashed
 };
 
 /**

@@ -123,9 +123,9 @@ Sampler::sampleOnce(std::ostream &os)
                          std::chrono::steady_clock::now() - start_)
                          .count();
 
-    // Rolling throughput: items accumulated by the phase profile since
-    // the previous tick, over the wall time between the ticks.
-    const std::uint64_t items = PhaseProfile::global().totalItems();
+    // Rolling throughput: records simulated since the previous tick
+    // (the manifest headline's count), over the wall time between ticks.
+    const std::uint64_t items = PhaseProfile::global().items(kSimulatePhase);
     double rate = 0.0;
     if (t > lastSampleSeconds_ && items >= lastItems_)
         rate = static_cast<double>(items - lastItems_) /

@@ -2,8 +2,8 @@
  * @file
  * Time-series sampler: a background heartbeat thread that periodically
  * snapshots the global MetricsRegistry plus process RSS, the worker
- * pool's queue depths and steal counts, and a rolling items/second rate
- * into JSONL -- one self-contained JSON object per line, the streaming
+ * pool's queue depths and steal counts, and a rolling rate of records
+ * simulated per second into JSONL -- one self-contained JSON object per line, the streaming
  * metrics surface a serving daemon can forward over a socket while a
  * run is still in flight.
  *
@@ -11,8 +11,9 @@
  * mains call Sampler::startFromEnv()), TRB_OBS_SAMPLE_PATH picks the
  * output file (default obs_samples.jsonl).  The sampler only ever
  * *reads* shared state -- registry snapshots under the registry lock,
- * relaxed pool counters -- so enabling it cannot perturb simulation
- * results; it can only interleave extra reads.
+ * the phase table under its lock, relaxed pool counters -- so enabling
+ * it cannot perturb simulation results; it can only interleave extra
+ * reads.
  *
  * stop() (and destruction) takes a final sample before joining, so an
  * enabled run always emits at least one line however short it was.
@@ -93,7 +94,7 @@ class Sampler
     std::uint64_t samples_ = 0;
     std::chrono::steady_clock::time_point start_;
 
-    // Rolling items/second state (previous tick's totals).
+    // Rolling items/second state (previous tick's simulated records).
     double lastSampleSeconds_ = 0.0;
     std::uint64_t lastItems_ = 0;
 

@@ -8,6 +8,7 @@
 #include "common/env.hh"
 #include "obs/metrics.hh"
 #include "obs/pipeline_trace.hh"
+#include "obs/profile.hh"
 #include "par/thread_pool.hh"
 
 namespace trb
@@ -18,8 +19,8 @@ namespace obs
 namespace
 {
 
-/** Per-thread nesting depth of live SpanScopes. */
-thread_local std::uint32_t tl_span_depth = 0;
+/** Innermost live SpanScope on this thread: the next span's parent. */
+thread_local SpanScope *tl_current_span = nullptr;
 
 /** -1 = not yet read, else 0/1. */
 std::atomic<int> g_spans_enabled{-1};
@@ -137,7 +138,7 @@ SpanTimeline::writeChromeTrace(std::ostream &os, bool merge_pipeline) const
                       "\"dur\": %.3f, \"pid\": 0, \"tid\": %u, ",
                       sep, jsonQuote(s.name).c_str(), s.startUs,
                       s.durUs > 0.0 ? s.durUs : 0.001, s.worker);
-        os << buf << "\"cat\": " << jsonQuote(s.category)
+        os << buf << "\"cat\": " << jsonQuote(s.phase)
            << ", \"args\": {\"depth\": " << s.depth;
         if (s.items)
             os << ", \"items\": " << s.items;
@@ -175,29 +176,33 @@ SpanTimeline::global()
     return timeline;
 }
 
-SpanScope::SpanScope(std::string name, std::string category,
-                     std::uint64_t items)
-    : active_(SpanTimeline::enabled()), name_(std::move(name)),
-      category_(std::move(category)), items_(items)
+SpanScope::SpanScope(const char *name, std::string label)
+    : name_(name), label_(std::move(label)), parent_(tl_current_span),
+      depth_(parent_ ? parent_->depth_ + 1 : 0),
+      startUs_(SpanTimeline::nowUs())
 {
-    if (active_) {
-        startUs_ = SpanTimeline::nowUs();
-        ++tl_span_depth;
-    }
+    tl_current_span = this;
 }
 
 SpanScope::~SpanScope()
 {
-    if (!active_)
+    const double dur_us = SpanTimeline::nowUs() - startUs_;
+    tl_current_span = parent_;
+    if (parent_)
+        parent_->childUs_ += dur_us;
+    PhaseProfile::global().add(name_, dur_us * 1e-6,
+                               (dur_us - childUs_) * 1e-6, items_);
+    if (!SpanTimeline::enabled())
         return;
-    --tl_span_depth;
     SpanEvent ev;
-    ev.name = std::move(name_);
-    ev.category = std::move(category_);
+    ev.name = name_;
+    if (!label_.empty())
+        ev.name += "." + label_;
+    ev.phase = name_;
     ev.startUs = startUs_;
-    ev.durUs = SpanTimeline::nowUs() - startUs_;
+    ev.durUs = dur_us;
     ev.worker = static_cast<std::uint32_t>(par::workerId());
-    ev.depth = tl_span_depth;
+    ev.depth = depth_;
     ev.items = items_;
     SpanTimeline::global().record(std::move(ev));
 }

@@ -1,26 +1,33 @@
 /**
  * @file
- * Unified span timeline: hierarchical wall-clock spans (sweep -> trace
- * -> convert/simulate stages) recorded from any thread, merged with the
- * per-thread PipelineTracer rings into a single Chrome trace_event file
- * with one lane per pool worker.
+ * Spans: the one timed scope type.  Every timed scope -- bench, sweep,
+ * trace, generate, convert, simulate, ... -- is an obs::SpanScope.  On
+ * close it folds into the phase table (PhaseProfile::global(), always)
+ * and, when TRB_OBS_SPANS is set, into a timeline that obs::finish()
+ * merges with the per-thread PipelineTracer rings into a single Chrome
+ * trace_event file with one lane per pool worker.
  *
- * Spans answer "where did the wall-clock go, on which worker, for which
- * trace" in one trace-viewer load; the pipeline rings add the
- * per-instruction cycle detail underneath.  The two clock domains are
- * kept apart by Chrome pid: pid 0 carries the wall-clock spans
- * (microseconds since process start, tid = worker id), pid 1+w carries
- * worker w's instruction ring on its cycle axis.
+ * Each span links to the innermost live span on its own thread, so it
+ * knows its depth and its *self* time: its duration minus that of its
+ * children on the same thread.  Self times never overlap, so they add
+ * up to no more than wall time x threads however deeply phases nest.
  *
- * Enabled by TRB_OBS_SPANS=<path>; obs::finish() writes the merged file
- * there.  When the variable is unset every SpanScope constructor reduces
- * to one cached boolean test and records nothing -- the timeline is off
- * the hot path exactly the way a detached PipelineTracer is.
+ * A span's name keys the phase table and must come from a small fixed
+ * set (a string literal).  A per-instance qualifier -- a trace or
+ * improvement-set name -- goes in the optional label, which only the
+ * timeline shows: SpanScope("trace", "srv_0") is one more call of the
+ * "trace" row and a "trace.srv_0" slice in the Chrome file, so a
+ * long-running daemon keeps a bounded table.
  *
- * Thread safety: record() appends under a mutex (spans are coarse --
- * one per trace or stage, never per instruction); the depth used for
- * hierarchy rendering is tracked per thread, so nesting is meaningful
- * within a worker lane and concurrent lanes never interleave depths.
+ * The two clock domains of the Chrome file are kept apart by pid:
+ * pid 0 carries the wall-clock spans (microseconds since process start,
+ * tid = worker id), pid 1+w carries worker w's instruction ring on its
+ * cycle axis.
+ *
+ * Cost: two steady_clock reads and one short table lock per span.
+ * Spans are coarse -- one per bench, sweep, trace or whole stage call,
+ * never per instruction.  With TRB_OBS_SPANS unset nothing is copied
+ * into the timeline.
  */
 
 #ifndef TRB_OBS_SPAN_HH
@@ -37,11 +44,11 @@ namespace trb
 namespace obs
 {
 
-/** One completed wall-clock span. */
+/** One completed wall-clock span, as the timeline holds it. */
 struct SpanEvent
 {
-    std::string name;        //!< "trace.srv_0", "set.All", "sweep"
-    std::string category;    //!< "bench", "sweep", "trace", "phase"
+    std::string name;        //!< "trace.srv_0", "sweep": name[.label]
+    const char *phase = "";  //!< phase-table key ("trace"); Chrome "cat"
     double startUs = 0.0;    //!< microseconds since process start
     double durUs = 0.0;
     std::uint32_t worker = 0;   //!< pool lane (par::workerId())
@@ -98,29 +105,37 @@ class SpanTimeline
 };
 
 /**
- * RAII span: records its lifetime into the global timeline (current
- * worker lane, per-thread nesting depth).  A disabled timeline makes
- * construction and destruction test one cached boolean each.
+ * RAII span: times its lifetime, then folds it into the phase table
+ * and (timeline enabled) records it on the current worker's lane.
+ * Nesting is tracked per thread, so concurrent lanes never interleave.
+ * Declare it only as a local variable: the parent link requires spans
+ * on one thread to close in the reverse order they opened.
  */
 class SpanScope
 {
   public:
-    SpanScope(std::string name, std::string category,
-              std::uint64_t items = 0);
+    /**
+     * @param name  phase-table key; a string literal (it is kept by
+     *              pointer) from a small fixed set of phase names
+     * @param label optional per-instance qualifier, timeline only
+     */
+    explicit SpanScope(const char *name, std::string label = {});
     ~SpanScope();
 
     SpanScope(const SpanScope &) = delete;
     SpanScope &operator=(const SpanScope &) = delete;
 
-    /** Attach an item count (e.g. instructions) after the fact. */
+    /** Attach an item count (e.g. instructions) for throughput. */
     void setItems(std::uint64_t items) { items_ = items; }
 
   private:
-    bool active_;
-    std::string name_;
-    std::string category_;
-    std::uint64_t items_;
-    double startUs_ = 0.0;
+    const char *name_;
+    std::string label_;
+    std::uint64_t items_ = 0;
+    SpanScope *parent_;          //!< enclosing span on this thread
+    std::uint32_t depth_;
+    double childUs_ = 0.0;       //!< summed durations of direct children
+    double startUs_;
 };
 
 } // namespace obs

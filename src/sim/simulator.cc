@@ -7,6 +7,7 @@
 #include "convert/improvements.hh"
 #include "lint/lint.hh"
 #include "obs/profile.hh"
+#include "obs/span.hh"
 
 namespace trb
 {
@@ -46,41 +47,6 @@ appendCacheKey(std::string &key, const char *tag, const CacheParams &c)
     key += '/';
     key += std::to_string(static_cast<unsigned>(c.policy));
     key += ';';
-}
-
-/**
- * Canonical spelling of every CoreParams field.  Exhaustive on purpose:
- * a field missing here would alias two different configurations onto
- * one result artifact.
- */
-std::string
-coreParamsKey(const CoreParams &p)
-{
-    std::string key;
-    key += "fw=" + std::to_string(p.fetchWidth);
-    key += ";iw=" + std::to_string(p.issueWidth);
-    key += ";rw=" + std::to_string(p.retireWidth);
-    key += ";rob=" + std::to_string(p.robSize);
-    key += ";fd=" + std::to_string(p.frontendDepth);
-    key += ";mp=" + std::to_string(p.mispredictPenalty);
-    key += ";drp=" + std::to_string(p.decodeRedirectPenalty);
-    key += ";dfe=" + std::to_string(p.decoupledFrontEnd ? 1 : 0);
-    key += ";ftq=" + std::to_string(p.ftqLookahead);
-    key += ";it=" + std::to_string(p.idealTargets ? 1 : 0);
-    key += ";rules=" + std::to_string(static_cast<int>(p.rules));
-    key += ";dir=" + std::to_string(static_cast<int>(p.dirPred));
-    key += ";btb=" + std::to_string(p.btbEntries);
-    key += ";btbw=" + std::to_string(p.btbWays);
-    key += ";ras=" + std::to_string(p.rasEntries);
-    key += ';';
-    appendCacheKey(key, "l1i", p.mem.l1i);
-    appendCacheKey(key, "l1d", p.mem.l1d);
-    appendCacheKey(key, "l2", p.mem.l2);
-    appendCacheKey(key, "llc", p.mem.llc);
-    key += "dram=" + std::to_string(p.mem.dramLatency);
-    key += ";l1dpf=" + std::to_string(p.mem.l1dIpStride ? 1 : 0);
-    key += ";l2pf=" + std::to_string(p.mem.l2NextLine ? 1 : 0);
-    return key;
 }
 
 /** Key of a converted-trace artifact. */
@@ -126,8 +92,8 @@ resolveIprefId(const SimRequest &req)
 SimStats
 runCore(ChampSimView trace, const SimRequest &req)
 {
-    obs::ScopeTimer timer("simulate");
-    timer.setItems(trace.size());
+    obs::SpanScope span(obs::kSimulatePhase);
+    span.setItems(trace.size());
     O3Core core(req.params, req.ipref);
     core.setCancelToken(req.cancel);
     auto warmup = static_cast<std::uint64_t>(
@@ -161,6 +127,36 @@ runCoreThroughStore(ChampSimView trace, const SimRequest &req,
 }
 
 } // namespace
+
+std::string
+coreParamsKey(const CoreParams &p)
+{
+    std::string key;
+    key += "fw=" + std::to_string(p.fetchWidth);
+    key += ";iw=" + std::to_string(p.issueWidth);
+    key += ";rw=" + std::to_string(p.retireWidth);
+    key += ";rob=" + std::to_string(p.robSize);
+    key += ";fd=" + std::to_string(p.frontendDepth);
+    key += ";mp=" + std::to_string(p.mispredictPenalty);
+    key += ";drp=" + std::to_string(p.decodeRedirectPenalty);
+    key += ";dfe=" + std::to_string(p.decoupledFrontEnd ? 1 : 0);
+    key += ";ftq=" + std::to_string(p.ftqLookahead);
+    key += ";it=" + std::to_string(p.idealTargets ? 1 : 0);
+    key += ";rules=" + std::to_string(static_cast<int>(p.rules));
+    key += ";dir=" + std::to_string(static_cast<int>(p.dirPred));
+    key += ";btb=" + std::to_string(p.btbEntries);
+    key += ";btbw=" + std::to_string(p.btbWays);
+    key += ";ras=" + std::to_string(p.rasEntries);
+    key += ';';
+    appendCacheKey(key, "l1i", p.mem.l1i);
+    appendCacheKey(key, "l1d", p.mem.l1d);
+    appendCacheKey(key, "l2", p.mem.l2);
+    appendCacheKey(key, "llc", p.mem.llc);
+    key += "dram=" + std::to_string(p.mem.dramLatency);
+    key += ";l1dpf=" + std::to_string(p.mem.l1dIpStride ? 1 : 0);
+    key += ";l2pf=" + std::to_string(p.mem.l2NextLine ? 1 : 0);
+    return key;
+}
 
 CoreParams
 modernConfig()
@@ -237,8 +233,8 @@ simulate(const CvpTrace &cvp, const SimRequest &req)
             if (lint::lintEnabledFromEnv()) {
                 ChampSimTrace copy(handle.view().begin(),
                                    handle.view().end());
-                obs::ScopeTimer timer("lint");
-                timer.setItems(copy.size());
+                obs::SpanScope span("lint");
+                span.setItems(copy.size());
                 lint::maybeLintConverted(improvementSetName(req.imps),
                                          cvp, copy);
             }
@@ -251,13 +247,13 @@ simulate(const CvpTrace &cvp, const SimRequest &req)
 
     Cvp2ChampSim conv(req.imps);
     ChampSimTrace trace = [&] {
-        obs::ScopeTimer timer("convert");
-        timer.setItems(cvp.size());
+        obs::SpanScope span("convert");
+        span.setItems(cvp.size());
         return conv.convert(cvp);
     }();
     if (lint::lintEnabledFromEnv()) {
-        obs::ScopeTimer timer("lint");
-        timer.setItems(trace.size());
+        obs::SpanScope span("lint");
+        span.setItems(trace.size());
         lint::maybeLintConverted(improvementSetName(req.imps), cvp, trace);
     }
     if (st)
@@ -266,34 +262,5 @@ simulate(const CvpTrace &cvp, const SimRequest &req)
                                        result.statsFromStore);
     return result;
 }
-
-// The wrappers below are themselves the deprecated entry points.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-SimStats
-simulateChampSim(const ChampSimTrace &trace, const CoreParams &params,
-                 double warmupFraction, InstrPrefetcher *ipref)
-{
-    return simulate(ChampSimView(trace),
-                    SimRequest{.params = params,
-                               .warmupFraction = warmupFraction,
-                               .ipref = ipref})
-        .stats;
-}
-
-SimStats
-simulateCvp(const CvpTrace &cvp, ImprovementSet imps,
-            const CoreParams &params, double warmupFraction,
-            InstrPrefetcher *ipref)
-{
-    return simulate(cvp, SimRequest{.imps = imps,
-                                    .params = params,
-                                    .warmupFraction = warmupFraction,
-                                    .ipref = ipref})
-        .stats;
-}
-
-#pragma GCC diagnostic pop
 
 } // namespace trb

@@ -150,24 +150,12 @@ SimResult simulate(const CvpTrace &cvp, const SimRequest &req = {});
 SimResult simulate(ChampSimView trace, const SimRequest &req = {});
 
 /**
- * @name Deprecated positional entry points
- * Thin wrappers kept for one release so out-of-tree callers migrate on
- * their own schedule; see DESIGN.md for the migration recipe.  They
- * forward to simulate() with an equivalent SimRequest (and therefore
- * also hit the store).
- * @{
+ * Canonical spelling of every CoreParams field, nested cache and memory
+ * parameters included.  Exhaustive on purpose: a field missing here
+ * would alias two different configurations onto one store artifact or
+ * one sweep checkpoint.
  */
-[[deprecated("use simulate(cvp, SimRequest{.imps=..., .params=...})")]]
-SimStats simulateCvp(const CvpTrace &cvp, ImprovementSet imps,
-                     const CoreParams &params, double warmupFraction = 0.0,
-                     InstrPrefetcher *ipref = nullptr);
-
-[[deprecated("use simulate(trace, SimRequest{.params=...})")]]
-SimStats simulateChampSim(const ChampSimTrace &trace,
-                          const CoreParams &params,
-                          double warmupFraction = 0.0,
-                          InstrPrefetcher *ipref = nullptr);
-/** @} */
+std::string coreParamsKey(const CoreParams &params);
 
 } // namespace trb
 

@@ -15,11 +15,13 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/pipeline_trace.hh"
 #include "obs/profile.hh"
+#include "obs/span.hh"
 
 namespace trb
 {
@@ -400,19 +402,26 @@ TEST(Logging, LevelFiltersWarnInformDebug)
 TEST(PhaseProfile, AccumulatesAndExports)
 {
     obs::PhaseProfile profile;
-    profile.add("simulate", 0.5, 1000);
-    profile.add("simulate", 0.25, 500);
-    profile.add("convert", 0.25);
+    profile.add("simulate", 0.5, 0.5, 1000);
+    profile.add("simulate", 0.25, 0.25, 500);
+    profile.add("convert", 0.25, 0.125);
 
-    ASSERT_EQ(profile.entries().size(), 2u);
-    EXPECT_DOUBLE_EQ(profile.seconds("simulate"), 0.75);
-    EXPECT_EQ(profile.entries()[0].calls, 2u);
-    EXPECT_EQ(profile.entries()[0].items, 1500u);
-    EXPECT_DOUBLE_EQ(profile.entries()[0].itemsPerSecond(), 2000.0);
+    const std::vector<obs::PhaseProfile::Entry> rows = profile.entries();
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].name, "simulate");
+    EXPECT_DOUBLE_EQ(rows[0].seconds, 0.75);
+    EXPECT_EQ(rows[0].calls, 2u);
+    EXPECT_EQ(rows[0].items, 1500u);
+    EXPECT_EQ(profile.items("simulate"), 1500u);
+    EXPECT_EQ(profile.items("absent"), 0u);
+    EXPECT_DOUBLE_EQ(rows[0].itemsPerSecond(), 2000.0);
+    EXPECT_DOUBLE_EQ(rows[1].selfSeconds, 0.125);
 
     std::string report = profile.report();
     EXPECT_NE(report.find("simulate"), std::string::npos);
     EXPECT_NE(report.find("convert"), std::string::npos);
+    // The share column is of self time: 0.75 of 0.875 s.
+    EXPECT_NE(report.find("(85.7%)"), std::string::npos) << report;
 
     obs::MetricsRegistry reg;
     profile.exportTo(reg, "phase");
@@ -420,23 +429,28 @@ TEST(PhaseProfile, AccumulatesAndExports)
     EXPECT_EQ(reg.counterValue("phase.simulate.calls"), 2u);
     EXPECT_EQ(reg.counterValue("phase.simulate.items"), 1500u);
     EXPECT_DOUBLE_EQ(reg.gaugeValue("phase.convert.seconds"), 0.25);
+    EXPECT_DOUBLE_EQ(reg.gaugeValue("phase.convert.self_seconds"), 0.125);
 }
 
-TEST(ScopeTimer, RecordsElapsedTime)
+TEST(SpanScope, RecordsElapsedTime)
 {
-    obs::PhaseProfile profile;
+    obs::PhaseProfile &profile = obs::PhaseProfile::global();
+    profile.clear();
     {
-        obs::ScopeTimer timer(profile, "work");
-        timer.setItems(10);
-        // Burn a little wall time so elapsed() is strictly positive.
+        obs::SpanScope span("work");
+        span.setItems(10);
+        // Burn a little wall time so the duration is strictly positive.
         volatile double sink = 0;
         for (int i = 0; i < 100000; ++i)
             sink = sink + 1.0;
-        EXPECT_GT(timer.elapsed(), 0.0);
     }
-    ASSERT_EQ(profile.entries().size(), 1u);
-    EXPECT_GT(profile.seconds("work"), 0.0);
-    EXPECT_EQ(profile.entries()[0].items, 10u);
+    const std::vector<obs::PhaseProfile::Entry> rows = profile.entries();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].name, "work");
+    EXPECT_GT(rows[0].seconds, 0.0);
+    EXPECT_DOUBLE_EQ(rows[0].selfSeconds, rows[0].seconds);
+    EXPECT_EQ(rows[0].items, 10u);
+    profile.clear();
 }
 
 TEST(Histogram, PercentileNearestRank)

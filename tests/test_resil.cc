@@ -796,6 +796,40 @@ TEST(Checkpoint, SweepResumesBitIdentically)
     std::remove(path.c_str());
 }
 
+TEST(Checkpoint, SignatureCoversTheMemoryHierarchy)
+{
+    auto suite = reducedSuite(1000, 15);
+    std::vector<NamedSet> sets(figureOneSets().begin(),
+                               figureOneSets().begin() + 2);
+    CoreParams params;
+    CoreParams slow_dram = params;   // differs only in the memory system
+    slow_dram.mem.dramLatency *= 4;
+    const auto fresh = runImprovementSweep(suite, sets, slow_dram);
+
+    std::string path = tempPath("trb_resil_sig_ckpt.jsonl");
+    std::remove(path.c_str());
+    resil::Checkpoint::setPathForTesting(path);
+    const auto first = runImprovementSweep(suite, sets, params);
+    const auto second = runImprovementSweep(suite, sets, slow_dram);
+    resil::Checkpoint::setPathForTesting("");
+    std::remove(path.c_str());
+
+    // The configs really disagree, so a shared signature would show.
+    bool differs = false;
+    ASSERT_EQ(second.size(), fresh.size());
+    for (std::size_t k = 0; k < fresh.size(); ++k) {
+        ASSERT_EQ(second[k].ratio.size(), fresh[k].ratio.size());
+        for (std::size_t i = 0; i < fresh[k].ratio.size(); ++i) {
+            differs |= first[k].ratio[i] != fresh[k].ratio[i];
+            EXPECT_EQ(std::memcmp(&second[k].ratio[i], &fresh[k].ratio[i],
+                                  sizeof(double)),
+                      0)
+                << "set " << k << " trace " << i;
+        }
+    }
+    EXPECT_TRUE(differs);
+}
+
 TEST(ToolExitCodes, TraceLint)
 {
     const std::string lint = TRB_BUILD_DIR "/tools/trace_lint";

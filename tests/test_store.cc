@@ -414,26 +414,5 @@ TEST_F(StoreTest, SimulateCorruptStoreFallsBack)
     EXPECT_TRUE(warm.statsFromStore);
 }
 
-// The deprecated wrappers stay pinned here until removal: they must
-// forward exactly.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(StoreTest, DeprecatedWrappersForward)
-{
-    store::Store::setDirForTesting("");
-    CvpTrace cvp = TraceGenerator(serverParams(2)).generate(3000);
-    SimStats via_wrapper = simulateCvp(cvp, kImpNone, modernConfig());
-    SimStats via_request = simulate(cvp, {.imps = kImpNone}).stats;
-    EXPECT_EQ(via_wrapper.toBits(), via_request.toBits());
-
-    ChampSimTrace trace = Cvp2ChampSim(kImpNone).convert(cvp);
-    SimStats cs_wrapper = simulateChampSim(trace, modernConfig(), 0.25);
-    SimStats cs_request = simulate(ChampSimView(trace),
-                                   {.warmupFraction = 0.25})
-                              .stats;
-    EXPECT_EQ(cs_wrapper.toBits(), cs_request.toBits());
-}
-#pragma GCC diagnostic pop
-
 } // namespace
 } // namespace trb

@@ -21,6 +21,7 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "experiments/experiment.hh"
 #include "obs/bench_record.hh"
 #include "obs/metrics.hh"
 #include "obs/perf_compare.hh"
@@ -28,6 +29,7 @@
 #include "obs/sampler.hh"
 #include "obs/span.hh"
 #include "par/thread_pool.hh"
+#include "synth/suites.hh"
 
 namespace trb
 {
@@ -137,29 +139,36 @@ TEST(BenchRecord, RendersSchemaPhasesTotalsAndStore)
     reg.setCounter("store.misses", 1);
     reg.setGauge("sweep.All.geomean_delta_percent", -2.5);
 
+    // A trace span around convert + simulate: inclusive seconds nest,
+    // self seconds do not.
     obs::PhaseProfile phases;
-    phases.add("simulate", 2.0, 1000);
-    phases.add("convert", 1.0, 500);
-    phases.add("worker.1", 3.0, 1500);   // excluded from the totals
+    phases.add("simulate", 2.0, 2.0, 1000);
+    phases.add("convert", 0.5, 0.5, 500);
+    phases.add("trace", 2.75, 0.25, 1200);
 
     std::ostringstream os;
-    obs::renderBenchRecord(os, "unit", 3.0, reg, phases);
+    obs::renderBenchRecord(os, "unit", 4.0, reg, phases);
 
     JsonFlat doc;
     std::string error;
     ASSERT_TRUE(parseJson(os.str(), doc, &error)) << error << "\n"
                                                   << os.str();
+    EXPECT_EQ(doc.str("schema"), "trb-bench-v2");
     EXPECT_EQ(doc.str("schema"), obs::kBenchSchema);
     EXPECT_EQ(doc.str("bench"), "unit");
     EXPECT_FALSE(doc.str("host").empty());
     EXPECT_FALSE(doc.str("git_sha").empty());
-    EXPECT_DOUBLE_EQ(doc.number("wall_seconds"), 3.0);
+    EXPECT_DOUBLE_EQ(doc.number("wall_seconds"), 4.0);
     EXPECT_DOUBLE_EQ(doc.number("phases/simulate/seconds"), 2.0);
     EXPECT_DOUBLE_EQ(doc.number("phases/simulate/items_per_second"),
                      500.0);
-    EXPECT_DOUBLE_EQ(doc.number("phases/worker.1/items"), 1500.0);
-    EXPECT_DOUBLE_EQ(doc.number("totals/items"), 1500.0);
-    EXPECT_DOUBLE_EQ(doc.number("totals/items_per_second"), 500.0);
+    EXPECT_DOUBLE_EQ(doc.number("phases/trace/seconds"), 2.75);
+    EXPECT_DOUBLE_EQ(doc.number("phases/trace/self_seconds"), 0.25);
+    EXPECT_DOUBLE_EQ(doc.number("phases/trace/items"), 1200.0);
+    // Totals: self seconds only, and the simulated records alone.
+    EXPECT_DOUBLE_EQ(doc.number("totals/phase_seconds"), 2.75);
+    EXPECT_DOUBLE_EQ(doc.number("totals/items"), 1000.0);
+    EXPECT_DOUBLE_EQ(doc.number("totals/items_per_second"), 250.0);
     EXPECT_DOUBLE_EQ(doc.number("store/hits"), 3.0);
     EXPECT_DOUBLE_EQ(doc.number("store/hit_rate"), 0.75);
     EXPECT_DOUBLE_EQ(
@@ -236,6 +245,32 @@ TEST(Sampler, DirectDriveEmitsParseableSamples)
     EXPECT_EQ(parsed, 2u);
 }
 
+TEST(Sampler, RateCountsOnlySimulatedRecords)
+{
+    obs::PhaseProfile &phases = obs::PhaseProfile::global();
+    phases.clear();
+    obs::Sampler sampler(obs::Sampler::Options{});
+    std::ostringstream first;
+    sampler.sampleOnce(first);
+
+    // Only the simulate phase's records move the rate; the convert
+    // items of the same cells must not be counted a second time.
+    phases.add("convert", 0.1, 0.1, 1000000);
+    phases.add(obs::kSimulatePhase, 0.1, 0.1, 1000);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::ostringstream second;
+    sampler.sampleOnce(second);
+    phases.clear();
+
+    JsonFlat a, b;
+    std::string error;
+    ASSERT_TRUE(parseJson(first.str(), a, &error)) << error;
+    ASSERT_TRUE(parseJson(second.str(), b, &error)) << error;
+    const double dt = b.number("t") - a.number("t");
+    ASSERT_GT(dt, 0.0);
+    EXPECT_NEAR(b.number("items_per_sec") * dt, 1000.0, 10.0);
+}
+
 TEST(Sampler, HeartbeatWritesJsonlAndStopIsIdempotent)
 {
     const std::string path =
@@ -304,10 +339,32 @@ TEST(SpanTimeline, DisabledScopesRecordNothing)
     SpanEnableGuard guard(false);
     obs::SpanTimeline::global().clear();
     {
-        obs::SpanScope outer("outer", "bench");
-        obs::SpanScope inner("inner", "trace");
+        obs::SpanScope outer("outer");
+        obs::SpanScope inner("inner");
     }
     EXPECT_EQ(obs::SpanTimeline::global().size(), 0u);
+}
+
+TEST(SpanTimeline, DisabledTimelineStillFillsTheTable)
+{
+    SpanEnableGuard guard(false);
+    obs::PhaseProfile &phases = obs::PhaseProfile::global();
+    phases.clear();
+    obs::SpanTimeline::global().clear();
+    for (int i = 0; i < 3; ++i) {
+        obs::SpanScope outer("outer");
+        obs::SpanScope inner("inner", "t" + std::to_string(i));
+        inner.setItems(5);
+    }
+    const std::vector<obs::PhaseProfile::Entry> rows = phases.entries();
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].name, "inner");
+    EXPECT_EQ(rows[0].calls, 3u);
+    EXPECT_EQ(rows[0].items, 15u);
+    EXPECT_EQ(rows[1].name, "outer");
+    EXPECT_EQ(rows[1].calls, 3u);
+    EXPECT_EQ(obs::SpanTimeline::global().size(), 0u);
+    phases.clear();
 }
 
 TEST(SpanTimeline, RecordsNestedScopesWithDepth)
@@ -315,9 +372,10 @@ TEST(SpanTimeline, RecordsNestedScopesWithDepth)
     SpanEnableGuard guard(true);
     obs::SpanTimeline::global().clear();
     {
-        obs::SpanScope outer("outer", "bench");
+        obs::SpanScope outer("outer");
         {
-            obs::SpanScope inner("inner", "trace", 250);
+            obs::SpanScope inner("inner");
+            inner.setItems(250);
         }
     }
     const std::vector<obs::SpanEvent> spans =
@@ -332,27 +390,96 @@ TEST(SpanTimeline, RecordsNestedScopesWithDepth)
     EXPECT_GE(spans[1].durUs, spans[0].durUs);
 }
 
-TEST(SpanTimeline, GlobalScopeTimersLandInTheTimeline)
+/** Spin for about @p us microseconds of wall time. */
+void
+burnMicros(double us)
+{
+    const double until = obs::SpanTimeline::nowUs() + us;
+    while (obs::SpanTimeline::nowUs() < until) {
+    }
+}
+
+TEST(SpanTimeline, NestedSpansCarryDepthAndSelfTime)
 {
     SpanEnableGuard guard(true);
+    obs::PhaseProfile &phases = obs::PhaseProfile::global();
+    phases.clear();
     obs::SpanTimeline::global().clear();
     {
-        obs::ScopeTimer timer("telemetry.phase");
-        timer.setItems(10);
+        obs::SpanScope root("root");
+        burnMicros(300);
+        {
+            obs::SpanScope mid("mid");
+            burnMicros(300);
+            {
+                obs::SpanScope leaf("leaf");
+                burnMicros(300);
+            }
+        }
+        {
+            obs::SpanScope leaf("leaf");
+            burnMicros(300);
+        }
+    }
+    const std::vector<obs::SpanEvent> spans =
+        obs::SpanTimeline::global().snapshot();
+    ASSERT_EQ(spans.size(), 4u);
+    // Completion order: leaf, mid, leaf, root.
+    EXPECT_EQ(spans[0].name, "leaf");
+    EXPECT_EQ(spans[0].depth, 2u);
+    EXPECT_EQ(spans[1].name, "mid");
+    EXPECT_EQ(spans[1].depth, 1u);
+    EXPECT_EQ(spans[2].name, "leaf");
+    EXPECT_EQ(spans[2].depth, 1u);
+    EXPECT_EQ(spans[3].name, "root");
+    EXPECT_EQ(spans[3].depth, 0u);
+
+    double self_total = 0.0;
+    double root_seconds = 0.0, mid_self = 0.0, mid_seconds = 0.0;
+    for (const obs::PhaseProfile::Entry &e : phases.entries()) {
+        self_total += e.selfSeconds;
+        EXPECT_GE(e.selfSeconds, 0.0) << e.name;
+        EXPECT_LE(e.selfSeconds, e.seconds) << e.name;
+        if (e.name == "root")
+            root_seconds = e.seconds;
+        if (e.name == "mid") {
+            mid_self = e.selfSeconds;
+            mid_seconds = e.seconds;
+        }
+    }
+    // The outer span's self time is its duration minus its child's.
+    const double leaf_in_mid = spans[0].durUs * 1e-6;
+    EXPECT_NEAR(mid_self, mid_seconds - leaf_in_mid, 1e-9);
+    EXPECT_NEAR(mid_seconds, spans[1].durUs * 1e-6, 1e-9);
+    // Self times never overlap: they add up to the root's duration.
+    EXPECT_NEAR(self_total, root_seconds, 1e-9);
+    EXPECT_NEAR(root_seconds, spans[3].durUs * 1e-6, 1e-9);
+    EXPECT_GT(root_seconds, 1100e-6);
+    phases.clear();
+}
+
+TEST(SpanTimeline, PhaseSpansLandInTheTimeline)
+{
+    SpanEnableGuard guard(true);
+    obs::PhaseProfile &phases = obs::PhaseProfile::global();
+    phases.clear();
+    obs::SpanTimeline::global().clear();
+    {
+        obs::SpanScope span("trace", "srv_7");
+        span.setItems(10);
     }
     const std::vector<obs::SpanEvent> spans =
         obs::SpanTimeline::global().snapshot();
     ASSERT_EQ(spans.size(), 1u);
-    EXPECT_EQ(spans[0].name, "telemetry.phase");
-    EXPECT_EQ(spans[0].category, "phase");
+    // The label names the timeline slice; only the name keys the table.
+    EXPECT_EQ(spans[0].name, "trace.srv_7");
+    EXPECT_STREQ(spans[0].phase, "trace");
     EXPECT_EQ(spans[0].items, 10u);
-
-    // A private-profile timer stays out of the shared timeline.
-    obs::PhaseProfile profile;
-    {
-        obs::ScopeTimer timer(profile, "private.phase");
-    }
-    EXPECT_EQ(obs::SpanTimeline::global().size(), 1u);
+    const std::vector<obs::PhaseProfile::Entry> rows = phases.entries();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].name, "trace");
+    EXPECT_EQ(rows[0].items, 10u);
+    phases.clear();
 }
 
 TEST(SpanTimeline, ChromeTraceIsValidJsonWithWorkerLanes)
@@ -360,8 +487,9 @@ TEST(SpanTimeline, ChromeTraceIsValidJsonWithWorkerLanes)
     SpanEnableGuard guard(true);
     obs::SpanTimeline::global().clear();
     {
-        obs::SpanScope sweep("sweep", "sweep");
-        obs::SpanScope trace("trace.t0", "trace", 1000);
+        obs::SpanScope sweep("sweep");
+        obs::SpanScope trace("trace", "t0");
+        trace.setItems(1000);
     }
     std::ostringstream os;
     obs::SpanTimeline::global().writeChromeTrace(os);
@@ -373,15 +501,130 @@ TEST(SpanTimeline, ChromeTraceIsValidJsonWithWorkerLanes)
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"trace.t0\""), std::string::npos);
     EXPECT_NE(json.find("process_name"), std::string::npos);
-    // Wall-clock spans live on pid 0.
+    // Wall-clock spans live on pid 0; "cat" is the phase-table name.
     EXPECT_DOUBLE_EQ(doc.number("traceEvents/1/pid", -1.0), 0.0);
+    EXPECT_EQ(doc.str("traceEvents/1/name"), "trace.t0");
+    EXPECT_EQ(doc.str("traceEvents/1/cat"), "trace");
+    EXPECT_DOUBLE_EQ(doc.number("traceEvents/1/args/depth", -1.0), 1.0);
+}
+
+// ---- the phase table over a real sweep ----
+
+/** The first @p traces of the CVP-1 suite, short enough for a test. */
+std::vector<TraceSpec>
+smallSuite(std::size_t traces)
+{
+    auto full = cvp1PublicSuite(2000);
+    return {full.begin(), full.begin() + traces};
+}
+
+/** The first three Figure 1 improvement sets. */
+std::vector<NamedSet>
+threeSets()
+{
+    return {figureOneSets().begin(), figureOneSets().begin() + 3};
+}
+
+/**
+ * Sweep four traces on @p jobs workers and check the table against the
+ * measured wall time: self seconds fit in wall x jobs, and the manifest
+ * headline counts exactly the simulated records.
+ */
+void
+checkSweepTotals(std::size_t jobs)
+{
+    // Sized before the global pool's first use: under ctest each gtest
+    // case is its own process.
+    const bool fresh_pool = par::ThreadPool::globalIfStarted() == nullptr;
+    EnvGuard jobs_env("TRB_JOBS", std::to_string(jobs).c_str());
+    EnvGuard scale("TRB_SUITE_SCALE", nullptr);
+    if (fresh_pool) {
+        EXPECT_EQ(par::ThreadPool::global().jobs(), jobs);
+    }
+    const double lanes =
+        static_cast<double>(par::ThreadPool::global().jobs());
+
+    obs::PhaseProfile &phases = obs::PhaseProfile::global();
+    phases.clear();
+    const std::vector<NamedSet> sets = threeSets();
+    const auto start = std::chrono::steady_clock::now();
+    runImprovementSweep(smallSuite(4), sets, modernConfig());
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+
+    double self_total = 0.0;
+    double sweep_seconds = 0.0;
+    std::uint64_t simulate_calls = 0;
+    for (const obs::PhaseProfile::Entry &e : phases.entries()) {
+        self_total += e.selfSeconds;
+        if (e.name == "sweep")
+            sweep_seconds = e.seconds;
+        if (e.name == obs::kSimulatePhase)
+            simulate_calls = e.calls;
+    }
+    EXPECT_LE(self_total, wall * lanes);
+    EXPECT_EQ(simulate_calls, 4u * (sets.size() + 1));
+    if (lanes == 1.0) {
+        // One thread: "sweep" is the only root, so the self times
+        // telescope to its duration.
+        EXPECT_NEAR(self_total, sweep_seconds, 1e-6);
+    }
+
+    std::ostringstream os;
+    obs::renderBenchRecord(os, "sweep", wall, obs::MetricsRegistry::global(),
+                           phases);
+    JsonFlat doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(os.str(), doc, &error)) << error;
+    const double items = doc.number("totals/items");
+    EXPECT_GT(items, 0.0);
+    EXPECT_EQ(items, doc.number("phases/simulate/items"));
+    EXPECT_EQ(items, static_cast<double>(phases.items(obs::kSimulatePhase)));
+    EXPECT_DOUBLE_EQ(doc.number("totals/items_per_second"), items / wall);
+    EXPECT_NEAR(doc.number("totals/phase_seconds"), self_total, 1e-9);
+    EXPECT_LE(doc.number("totals/phase_seconds"), wall * lanes);
+    phases.clear();
+}
+
+TEST(PhaseTable, SweepSelfSecondsFitWallTimeAtOneJob)
+{
+    checkSweepTotals(1);
+}
+
+TEST(PhaseTable, SweepSelfSecondsFitWallTimeAtFourJobs)
+{
+    checkSweepTotals(4);
+}
+
+TEST(PhaseTable, RowCountDoesNotGrowWithTraces)
+{
+    EnvGuard scale("TRB_SUITE_SCALE", nullptr);
+    SpanEnableGuard guard(true);   // labels reach the timeline only
+    obs::PhaseProfile &phases = obs::PhaseProfile::global();
+    const std::vector<NamedSet> sets = threeSets();
+
+    phases.clear();
+    runImprovementSweep(smallSuite(2), sets, modernConfig());
+    const std::size_t rows_for_two = phases.entries().size();
+
+    phases.clear();
+    runImprovementSweep(smallSuite(6), sets, modernConfig());
+    const std::vector<obs::PhaseProfile::Entry> rows = phases.entries();
+    EXPECT_EQ(rows.size(), rows_for_two);
+    for (const obs::PhaseProfile::Entry &e : rows) {
+        if (e.name == "trace") {
+            EXPECT_EQ(e.calls, 6u);
+        }
+    }
+    phases.clear();
 }
 
 // ---- the perf comparator ----
 
 std::string
 benchJson(double items_per_second, double wall,
-          const char *schema = "trb-bench-v1")
+          const char *schema = obs::kBenchSchema)
 {
     std::ostringstream os;
     os << "{\"schema\": \"" << schema << "\", \"bench\": \"unit\", "
@@ -483,9 +726,9 @@ TEST(PerfCompare, ImprovementsAndWallTimeNeverGate)
 
 TEST(PerfCompare, SchemaMismatchIsAnError)
 {
-    const JsonFlat base = parsedBench(benchJson(1e6, 2.0));
-    const JsonFlat cand =
-        parsedBench(benchJson(1e6, 2.0, "trb-bench-v999"));
+    // A v1 manifest double-counted nested phases: never diff it with v2.
+    const JsonFlat base = parsedBench(benchJson(1e6, 2.0, "trb-bench-v1"));
+    const JsonFlat cand = parsedBench(benchJson(1e6, 2.0));
     const obs::PerfCompareResult result =
         obs::comparePerfRecords(base, cand, {});
     EXPECT_FALSE(result.error.empty());

@@ -2,7 +2,7 @@
  * @file
  * trace_perf -- the perf-regression gate over BENCH run manifests.
  *
- * Compares a baseline trb-bench-v1 record (or a directory of them)
+ * Compares a baseline trb-bench record (or a directory of them)
  * against a candidate, metric by metric, with per-metric noise
  * thresholds.  Throughput metrics (paths ending in items_per_second)
  * gate; wall-clock rows are reported for context only.
