@@ -29,10 +29,17 @@ main(int argc, char **argv)
 
     CvpTrace trace;
     std::string label;
+    auto fail = [](const Status &st) {
+        std::fprintf(stderr, "trace_inspector: %s\n", st.toString().c_str());
+        return 2;
+    };
 
     if (argc >= 3 && std::strcmp(argv[1], "-f") == 0) {
         label = argv[2];
-        trace = readCvpTrace(argv[2]);
+        Expected<CvpTrace> read = tryReadCvpTrace(argv[2]);
+        if (!read.ok())
+            return fail(read.status());
+        trace = std::move(read).value();
     } else {
         std::string preset = argc >= 2 ? argv[1] : "server";
         std::uint64_t length =
@@ -60,12 +67,16 @@ main(int argc, char **argv)
         // Round-trip through a gz file, exercising the I/O layer.
         auto path = std::filesystem::temp_directory_path() /
                     "trb_inspect.cvp.gz";
-        writeCvpTrace(path.string(), trace);
-        CvpTrace back = readCvpTrace(path.string());
-        std::printf("round-trip through %s: %zu records, %s\n\n",
-                    path.string().c_str(), back.size(),
-                    back.size() == trace.size() ? "ok" : "MISMATCH");
+        if (Status st = tryWriteCvpTrace(path.string(), trace); !st.ok())
+            return fail(st);
+        Expected<CvpTrace> back = tryReadCvpTrace(path.string());
         std::filesystem::remove(path);
+        if (!back.ok())
+            return fail(back.status());
+        std::printf("round-trip through %s: %zu records, %s\n\n",
+                    path.string().c_str(), back.value().size(),
+                    back.value().size() == trace.size() ? "ok"
+                                                        : "MISMATCH");
     }
 
     std::printf("=== CVP-1 characterisation of '%s' ===\n%s\n",

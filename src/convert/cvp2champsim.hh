@@ -37,10 +37,10 @@ namespace trb
 {
 
 /**
- * Conversion algorithm version, part of every stored converted-trace
- * artifact's key.  Bump whenever a change alters the records any
- * (trace, ImprovementSet) pair converts to, or stale store artifacts
- * will silently serve the old conversion.
+ * Conversion algorithm version, part of the store key of every result
+ * simulated from a CVP-1 trace.  Bump whenever a change alters the
+ * records any (trace, ImprovementSet) pair converts to, or stale store
+ * artifacts will silently serve results of the old conversion.
  */
 constexpr unsigned kConverterVersion = 1;
 

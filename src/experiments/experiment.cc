@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <memory>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -14,7 +13,6 @@
 #include "obs/profile.hh"
 #include "obs/span.hh"
 #include "par/thread_pool.hh"
-#include "resil/checkpoint.hh"
 #include "resil/fault.hh"
 #include "resil/retry.hh"
 #include "store/store.hh"
@@ -155,48 +153,12 @@ DeltaSeries::countAbove(double percent) const
 namespace
 {
 
-/**
- * Identity of a sweep for checkpoint purposes: the visited suite (names
- * and lengths), the improvement sets, and the whole core configuration
- * as the store keys it.  Two runs with the same signature compute the
- * same cells, so resuming one from the other's manifest is sound;
- * anything else starts fresh.
- */
-std::string
-sweepSignature(const std::vector<TraceSpec> &suite,
-               const std::vector<NamedSet> &sets, const CoreParams &params,
-               std::size_t count)
-{
-    std::string ident = "v2;n" + std::to_string(count) + ";";
-    for (std::size_t i = 0; i < count && i < suite.size(); ++i)
-        ident += suite[i].name + ":" +
-                 std::to_string(suite[i].length) + ";";
-    for (const NamedSet &s : sets)
-        ident += std::string(s.name) + ";";
-    ident += coreParamsKey(params);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : ident)
-        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-}
-
 std::uint64_t
 doubleBits(double v)
 {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof(bits));
     return bits;
-}
-
-double
-bitsDouble(std::uint64_t bits)
-{
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
 }
 
 } // namespace
@@ -218,13 +180,6 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
     if (baseline_out)
         baseline_out->assign(count, SimStats{});
 
-    // Resumable sweeps: completed cells come back from the manifest as
-    // exact bit patterns instead of being simulated again.  Quarantined
-    // cells are never recorded, so a rerun retries (and, fault plans
-    // being deterministic, re-quarantines) them.
-    std::unique_ptr<resil::Checkpoint> checkpoint = resil::Checkpoint::
-        fromEnv(sweepSignature(suite, sets, params, count));
-
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
     par::ThreadPool &pool = par::ThreadPool::global();
     const bool storing = store::Store::global() != nullptr;
@@ -232,7 +187,6 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
     forEachTrace(
         suite,
         [&](std::size_t i, const TraceSpec &, const CvpTrace &cvp) {
-            const std::string cell_tag = "t" + std::to_string(i);
             // One digest serves this trace's whole row of store
             // lookups (base + every improvement set).
             store::Digest cvp_digest;
@@ -240,21 +194,10 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
                 cvp_digest = store::digestCvpTrace(cvp);
             const store::Digest *digest_ptr =
                 storing ? &cvp_digest : nullptr;
-            SimStats base;
-            bool restored = false;
-            if (checkpoint) {
-                std::vector<std::uint64_t> bits;
-                restored = checkpoint->lookup(cell_tag + ".base", bits) &&
-                           SimStats::fromBits(bits, base);
-            }
-            if (!restored) {
-                base = simulate(cvp, {.imps = kImpNone,
-                                      .params = params,
-                                      .cvpDigest = digest_ptr})
-                           .stats;
-                if (checkpoint)
-                    checkpoint->record(cell_tag + ".base", base.toBits());
-            }
+            const SimStats base = simulate(cvp, {.imps = kImpNone,
+                                                 .params = params,
+                                                 .cvpDigest = digest_ptr})
+                                      .stats;
             if (baseline_out)
                 (*baseline_out)[i] = base;
             // Buffer this task's gauges and flush them in one batch at
@@ -269,16 +212,6 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
             // rides the same work-stealing pool, so idle workers pick
             // up sets of the trace another worker generated.
             pool.parallelFor(sets.size(), [&](std::size_t k) {
-                const std::string cell =
-                    cell_tag + ".s" + std::to_string(k);
-                if (checkpoint) {
-                    std::vector<std::uint64_t> bits;
-                    if (checkpoint->lookup(cell, bits) &&
-                        bits.size() == 1) {
-                        series[k].ratio[i] = bitsDouble(bits[0]);
-                        return;
-                    }
-                }
                 obs::SpanScope set_span("set", sets[k].name);
                 set_span.setItems(cvp.size());
                 SimStats s = simulate(cvp, {.imps = sets[k].set,
@@ -286,9 +219,6 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
                                             .cvpDigest = digest_ptr})
                                  .stats;
                 series[k].ratio[i] = s.ipc() / base.ipc();
-                if (checkpoint)
-                    checkpoint->record(
-                        cell, {doubleBits(series[k].ratio[i])});
             });
             for (std::size_t k = 0; k < sets.size(); ++k)
                 metrics.set("sweep." + series[k].setName + "." +

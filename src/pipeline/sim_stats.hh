@@ -94,9 +94,10 @@ struct SimStats
 
     /**
      * Flatten every counter into a fixed-order u64 vector -- the exact
-     * bits, so a checkpointed cell restores to a bit-identical SimStats.
-     * fromBits() is the inverse; it rejects a vector of the wrong length
-     * (a manifest written by an older/newer stat layout).
+     * bits, so a stats artifact served from the store (or a serve reply)
+     * restores to a bit-identical SimStats.  fromBits() is the inverse;
+     * it rejects a vector of the wrong length (one written by an
+     * older/newer stat layout).
      */
     std::vector<std::uint64_t> toBits() const;
     static bool fromBits(const std::vector<std::uint64_t> &bits,

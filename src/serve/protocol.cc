@@ -475,8 +475,6 @@ simReplyJson(const std::string &id, const SimResult &result,
     if (!id.empty())
         s += ", \"id\": " + obs::jsonQuote(id);
     s += ", \"seq\": " + std::to_string(seq);
-    s += ", \"trace_from_store\": ";
-    s += result.traceFromStore ? "true" : "false";
     s += ", \"stats_from_store\": ";
     s += result.statsFromStore ? "true" : "false";
     // Convenience doubles for humans and dashboards; "bits" below is
@@ -606,7 +604,6 @@ parseReply(const std::string &json, ServeReply &out)
         return Status{};
 
     out.seq = static_cast<std::uint64_t>(out.raw.number("seq"));
-    out.traceFromStore = out.raw.number("trace_from_store") != 0.0;
     out.statsFromStore = out.raw.number("stats_from_store") != 0.0;
 
     std::vector<std::uint64_t> bits;

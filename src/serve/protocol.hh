@@ -192,7 +192,6 @@ struct ServeReply
     std::uint64_t seq = 0;
 
     /** Provenance of a sim reply (mirrors SimResult). */
-    bool traceFromStore = false;
     bool statsFromStore = false;
 
     /** Decoded SimStats of a sim reply (exact bits off the wire). */

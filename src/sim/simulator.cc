@@ -49,7 +49,11 @@ appendCacheKey(std::string &key, const char *tag, const CacheParams &c)
     key += ';';
 }
 
-/** Key of a converted-trace artifact. */
+/**
+ * Identity of a CVP trace converted under @p imps: the source part of
+ * its stats key.  The spelling is that of the converted-trace artifacts
+ * older stores hold, so their stats artifacts keep matching.
+ */
 std::string
 traceKeyString(const store::Digest &cvp_digest, ImprovementSet imps)
 {
@@ -102,31 +106,38 @@ runCore(ChampSimView trace, const SimRequest &req)
 }
 
 /**
- * Stats-memoized core run: serve the SimStats from @p st if present,
- * else simulate and publish.  @p from_store reports a hit.
+ * The one memo: serve the SimStats under @p stats_key from @p st, or
+ * compute them with @p run and publish them.  @p st may be null, which
+ * just runs.
  */
-SimStats
-runCoreThroughStore(ChampSimView trace, const SimRequest &req,
-                    store::Store *st, const std::string &stats_key,
-                    bool &from_store)
+template <typename Run>
+SimResult
+memoized(store::Store *st, const std::string &stats_key, Run run)
 {
-    from_store = false;
+    SimResult result;
     if (st) {
         std::vector<std::uint64_t> bits;
-        SimStats stats;
         if (st->loadBits(stats_key, bits) &&
-            SimStats::fromBits(bits, stats)) {
-            from_store = true;
-            return stats;
+            SimStats::fromBits(bits, result.stats)) {
+            result.statsFromStore = true;
+            return result;
         }
     }
-    SimStats stats = runCore(trace, req);
+    result.stats = run();
     if (st)
-        st->putBits(stats_key, stats.toBits());
-    return stats;
+        st->putBits(stats_key, result.stats.toBits());
+    return result;
 }
 
 } // namespace
+
+// LP64 sizes of the keyed structs.  A new field grows one of them and
+// fails the build here (unless it fits in padding): spell it in
+// coreParamsKey(), add it to StoreKey.CoreParamsKeyCoversEveryField,
+// then update the size.
+static_assert(sizeof(CacheParams) == sizeof(std::string) + 32);
+static_assert(sizeof(HierarchyParams) == 4 * sizeof(CacheParams) + 16);
+static_assert(sizeof(CoreParams) == sizeof(HierarchyParams) + 72);
 
 std::string
 coreParamsKey(const CoreParams &p)
@@ -189,78 +200,43 @@ ipc1Config()
 SimResult
 simulate(ChampSimView trace, const SimRequest &req)
 {
-    SimResult result;
     store::Store *st = resolveStore(req);
-    if (!st) {
-        result.stats = runCore(trace, req);
-        return result;
-    }
-    std::string src = "cs:" + store::digestChampSimTrace(trace).hex();
-    std::string stats_key = statsKeyString(src, req, resolveIprefId(req));
-    result.stats = runCoreThroughStore(trace, req, st, stats_key,
-                                       result.statsFromStore);
-    return result;
+    std::string stats_key;
+    if (st)
+        stats_key = statsKeyString(
+            "cs:" + store::digestChampSimTrace(trace).hex(), req,
+            resolveIprefId(req));
+    return memoized(st, stats_key, [&] { return runCore(trace, req); });
 }
 
 SimResult
 simulate(const CvpTrace &cvp, const SimRequest &req)
 {
-    SimResult result;
     store::Store *st = resolveStore(req);
-
-    std::string trace_key;
     std::string stats_key;
     if (st) {
         store::Digest cvp_digest =
             req.cvpDigest ? *req.cvpDigest : store::digestCvpTrace(cvp);
-        trace_key = traceKeyString(cvp_digest, req.imps);
-        stats_key = statsKeyString(trace_key, req, resolveIprefId(req));
-
-        // Fast path: the whole run is memoized.
-        std::vector<std::uint64_t> bits;
-        if (st->loadBits(stats_key, bits) &&
-            SimStats::fromBits(bits, result.stats)) {
-            result.statsFromStore = true;
-            return result;
-        }
-
-        // Middle path: conversion is memoized; simulate the mmap'd
-        // records without materialising a vector (unless lint wants
-        // one -- lint-on-ingest re-checks served artifacts).
-        store::TraceHandle handle;
-        if (st->loadTrace(trace_key, handle)) {
-            result.traceFromStore = true;
-            if (lint::lintEnabledFromEnv()) {
-                ChampSimTrace copy(handle.view().begin(),
-                                   handle.view().end());
-                obs::SpanScope span("lint");
-                span.setItems(copy.size());
-                lint::maybeLintConverted(improvementSetName(req.imps),
-                                         cvp, copy);
-            }
-            result.stats = runCoreThroughStore(handle.view(), req, st,
-                                               stats_key,
-                                               result.statsFromStore);
-            return result;
-        }
+        stats_key = statsKeyString(traceKeyString(cvp_digest, req.imps),
+                                   req, resolveIprefId(req));
     }
-
-    Cvp2ChampSim conv(req.imps);
-    ChampSimTrace trace = [&] {
-        obs::SpanScope span("convert");
-        span.setItems(cvp.size());
-        return conv.convert(cvp);
-    }();
-    if (lint::lintEnabledFromEnv()) {
-        obs::SpanScope span("lint");
-        span.setItems(trace.size());
-        lint::maybeLintConverted(improvementSetName(req.imps), cvp, trace);
-    }
-    if (st)
-        st->putTrace(trace_key, trace);
-    result.stats = runCoreThroughStore(trace, req, st, stats_key,
-                                       result.statsFromStore);
-    return result;
+    // A hit skips conversion, and with it lint: only the stats are
+    // memoized, so every conversion that runs is a fresh one.
+    return memoized(st, stats_key, [&] {
+        Cvp2ChampSim conv(req.imps);
+        ChampSimTrace trace = [&] {
+            obs::SpanScope span("convert");
+            span.setItems(cvp.size());
+            return conv.convert(cvp);
+        }();
+        if (lint::lintEnabledFromEnv()) {
+            obs::SpanScope span("lint");
+            span.setItems(trace.size());
+            lint::maybeLintConverted(improvementSetName(req.imps), cvp,
+                                     trace);
+        }
+        return runCore(trace, req);
+    });
 }
 
 } // namespace trb

@@ -20,11 +20,12 @@
  *                                  .warmupFraction = 0.5});
  *
  * When a store is active (TRB_STORE, or SimRequest::store), simulate()
- * transparently memoizes both pipeline stages: the converted trace
- * (served back zero-copy from an mmap) and the final SimStats (restored
- * from exact u64 bit patterns).  Hits are bit-identical to misses by
- * construction, so enabling the store never changes a result -- only how
- * fast it arrives.
+ * memoizes the result and nothing else: the final SimStats, restored
+ * from exact u64 bit patterns.  A hit skips conversion and the core
+ * model; a miss converts, simulates and publishes the stats.  Hits are
+ * bit-identical to misses by construction, so enabling the store never
+ * changes a result -- only how fast it arrives -- and a sweep rerun
+ * under the same store resumes from the cells it already published.
  *
  * Thread safety: simulate() is pure -- each call builds its own
  * converter and O3Core and touches no shared mutable state -- so the
@@ -120,13 +121,10 @@ struct SimRequest
     const resil::CancelToken *cancel = nullptr;
 };
 
-/** A simulation result plus where its pieces came from. */
+/** A simulation result plus where it came from. */
 struct SimResult
 {
     SimStats stats;
-
-    /** The converted trace was served from the artifact store. */
-    bool traceFromStore = false;
 
     /** The SimStats were served from the artifact store. */
     bool statsFromStore = false;
@@ -152,8 +150,11 @@ SimResult simulate(ChampSimView trace, const SimRequest &req = {});
 /**
  * Canonical spelling of every CoreParams field, nested cache and memory
  * parameters included.  Exhaustive on purpose: a field missing here
- * would alias two different configurations onto one store artifact or
- * one sweep checkpoint.
+ * would alias two different configurations onto one store artifact, and
+ * a warm store would keep serving the wrong one.  Size static_asserts
+ * beside the definition fail the build when an added field grows the
+ * structs, and StoreKey.CoreParamsKeyCoversEveryField changes each
+ * field in turn.
  */
 std::string coreParamsKey(const CoreParams &params);
 

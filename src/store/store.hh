@@ -1,19 +1,19 @@
 /**
  * @file
  * trb::store -- a content-addressed on-disk artifact cache
- * (TRB_STORE=<dir>) that memoizes the two expensive pipeline stages
- * across processes:
+ * (TRB_STORE=<dir>) that memoizes simulation results across processes,
+ * stored as the exact u64 bit patterns of SimStats::toBits(), so a
+ * cache hit reproduces the miss byte-for-byte.  It is the one memo of
+ * results: a killed sweep resumes from the cells it already published.
  *
- *  - converted ChampSim traces, stored as the raw 64-byte record array
- *    and read back zero-copy through an mmap'd ChampSimView;
- *  - simulation results, stored as the exact u64 bit patterns of
- *    SimStats::toBits(), so a cache hit reproduces the miss
- *    byte-for-byte.
+ * The converted-trace kind (the raw 64-byte record array, read back
+ * zero-copy through an mmap'd ChampSimView) is not used by simulate();
+ * list/verify/gc handle the ones older stores hold.
  *
  * Keys are canonical strings composed by the simulator facade (CVP
- * content digest + improvement set + converter version for traces, plus
- * core config, warm-up bits and prefetcher id for results); the file
- * name is the digest of the key.  Every artifact carries its key and a
+ * content digest + improvement set + converter version for the source,
+ * plus core config, warm-up bits and prefetcher id); the file name is
+ * the digest of the key.  Every artifact carries its key and a
  * payload digest in a fixed 64-byte header, both re-checked on load --
  * an artifact whose magic, key or digest mismatches is *quarantined*
  * (renamed to <file>.bad, classified through the trb::resil taxonomy)

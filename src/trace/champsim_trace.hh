@@ -185,8 +185,8 @@ class ChampSimView
 
 /**
  * Write a trace to @p path (".gz" suffix selects compression); returns
- * a Status instead of dying, with gzwrite AND gzclose both checked --
- * a flush failure at close is a real data loss, not a detail.
+ * a Status, with gzwrite AND gzclose both checked -- a flush failure at
+ * close is a real data loss, not a detail.
  */
 Status tryWriteChampSimTrace(const std::string &path,
                              const ChampSimTrace &trace);
@@ -197,12 +197,6 @@ Status tryWriteChampSimTrace(const std::string &path,
  * index, stream-level zlib failures map to CorruptRecord/IoError.
  */
 Expected<ChampSimTrace> tryReadChampSimTrace(const std::string &path);
-
-/** Write a trace to @p path; fatal on any error (legacy wrapper). */
-void writeChampSimTrace(const std::string &path, const ChampSimTrace &trace);
-
-/** Read a ChampSim trace (raw or gz); fatal on any error (legacy). */
-ChampSimTrace readChampSimTrace(const std::string &path);
 
 } // namespace trb
 

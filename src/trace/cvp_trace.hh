@@ -158,38 +158,28 @@ Expected<CvpTrace> parseCvpTrace(const std::uint8_t *data, std::size_t size,
 Status tryWriteCvpTrace(const std::string &path, const CvpTrace &trace);
 
 /**
- * Read a trace written by writeCvpTrace() with rich diagnostics (byte
- * offset, record index, violated rule) instead of dying.
+ * Read a trace written by tryWriteCvpTrace() with rich diagnostics (byte
+ * offset, record index, violated rule).
  */
 Expected<CvpTrace> tryReadCvpTrace(const std::string &path);
-
-/** Write a trace to @p path; fatal on any error (legacy wrapper). */
-void writeCvpTrace(const std::string &path, const CvpTrace &trace);
-
-/** Read a trace written by writeCvpTrace(); fatal on malformed input. */
-CvpTrace readCvpTrace(const std::string &path);
 
 /**
  * Streaming reader over a CVP-1 trace file, for consumers that do not want
  * the whole trace in memory (the converter CLI uses this).
  *
- * Two modes: the legacy path-taking constructor keeps its fatal-on-error
- * contract, while default-construct + open() reports a Status and next()
+ * Construct empty, then open(); open() reports a Status, and next()
  * returns false with status() set on malformed input.
  */
 class CvpTraceReader
 {
   public:
-    /** Non-fatal mode: construct empty, then open(). */
     CvpTraceReader() = default;
-    /** Legacy fatal mode: dies on any open/format error. */
-    explicit CvpTraceReader(const std::string &path);
     ~CvpTraceReader() = default;
 
     CvpTraceReader(const CvpTraceReader &) = delete;
     CvpTraceReader &operator=(const CvpTraceReader &) = delete;
 
-    /** Open @p path and validate the header; non-fatal. */
+    /** Open @p path and validate the header. */
     Status open(const std::string &path);
 
     /** Instruction count promised by the header. */
@@ -199,9 +189,8 @@ class CvpTraceReader
     std::uint64_t delivered() const { return delivered_; }
 
     /**
-     * Fetch the next record; false at end of trace or on error.  In
-     * non-fatal mode check status() to tell the two apart; in legacy
-     * mode errors are fatal.
+     * Fetch the next record; false at end of trace or on error.  Check
+     * status() to tell the two apart.
      */
     bool next(CvpRecord &rec);
 
@@ -223,7 +212,6 @@ class CvpTraceReader
     std::size_t pos_ = 0;
     std::uint64_t bufferBase_ = 0; //!< file offset of buffer_[0]
     bool eof_ = false;
-    bool fatal_ = false;           //!< legacy mode: die instead of report
     std::uint64_t count_ = 0;
     std::uint64_t delivered_ = 0;
     Status status_;

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for trb::resil: the Status/Expected error model, deterministic
- * fault injection, retry/backoff, quarantine-and-continue sweeps,
- * checkpoint/resume bit-identity, and the CLI tools' exit-code contract
- * on the committed corrupt fixtures under tests/data/resil/.
+ * fault injection, retry/backoff, quarantine-and-continue sweeps, a
+ * store-backed sweep resume that keeps memory configurations apart, and
+ * the CLI tools' exit-code contract on the committed corrupt fixtures
+ * under tests/data/resil/.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,10 +22,10 @@
 #include "experiments/experiment.hh"
 #include "obs/metrics.hh"
 #include "resil/cancel.hh"
-#include "resil/checkpoint.hh"
 #include "resil/fault.hh"
 #include "resil/gz_stream.hh"
 #include "resil/retry.hh"
+#include "store/store.hh"
 #include "synth/generator.hh"
 #include "synth/suites.hh"
 #include "trace/champsim_trace.hh"
@@ -695,107 +695,11 @@ TEST(SimStats, BitsRoundTrip)
     EXPECT_FALSE(SimStats::fromBits(bits, back));
 }
 
-TEST(Checkpoint, RecordAndResume)
-{
-    std::string path = tempPath("trb_resil_ckpt.jsonl");
-    std::remove(path.c_str());
-    {
-        auto ckpt = resil::Checkpoint::open(path, "sig-a");
-        ASSERT_NE(ckpt, nullptr);
-        EXPECT_EQ(ckpt->loadedCells(), 0u);
-        ckpt->record("t0.base", {1, 2, 3});
-        ckpt->record("t0.s0", {0x3ff0000000000000ULL});
-    }
-    {
-        auto ckpt = resil::Checkpoint::open(path, "sig-a");
-        ASSERT_NE(ckpt, nullptr);
-        EXPECT_EQ(ckpt->loadedCells(), 2u);
-        std::vector<std::uint64_t> bits;
-        ASSERT_TRUE(ckpt->lookup("t0.base", bits));
-        EXPECT_EQ(bits, (std::vector<std::uint64_t>{1, 2, 3}));
-        ASSERT_TRUE(ckpt->lookup("t0.s0", bits));
-        EXPECT_EQ(bits, std::vector<std::uint64_t>{0x3ff0000000000000ULL});
-        EXPECT_FALSE(ckpt->lookup("t9.base", bits));
-    }
-    // A different signature discards the manifest instead of resuming.
-    {
-        auto ckpt = resil::Checkpoint::open(path, "sig-b");
-        ASSERT_NE(ckpt, nullptr);
-        EXPECT_EQ(ckpt->loadedCells(), 0u);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(Checkpoint, PartialTrailingLineIgnored)
-{
-    std::string path = tempPath("trb_resil_ckpt_partial.jsonl");
-    std::remove(path.c_str());
-    {
-        auto ckpt = resil::Checkpoint::open(path, "sig");
-        ASSERT_NE(ckpt, nullptr);
-        ckpt->record("a", {10});
-        ckpt->record("b", {20});
-    }
-    // Simulate a SIGKILL mid-append: a half-written final line.
-    {
-        std::ofstream out(path, std::ios::app);
-        out << "{\"cell\": \"c\", \"bi";
-    }
-    auto ckpt = resil::Checkpoint::open(path, "sig");
-    ASSERT_NE(ckpt, nullptr);
-    EXPECT_EQ(ckpt->loadedCells(), 2u);
-    std::vector<std::uint64_t> bits;
-    EXPECT_TRUE(ckpt->lookup("b", bits));
-    EXPECT_FALSE(ckpt->lookup("c", bits));
-    std::remove(path.c_str());
-}
-
-TEST(Checkpoint, SweepResumesBitIdentically)
-{
-    auto suite = reducedSuite(1000, 15);
-    std::vector<NamedSet> sets(figureOneSets().begin(),
-                               figureOneSets().begin() + 2);
-    CoreParams params;
-    std::string path = tempPath("trb_resil_sweep_ckpt.jsonl");
-    std::remove(path.c_str());
-
-    resil::Checkpoint::setPathForTesting(path);
-    auto full = runImprovementSweep(suite, sets, params);
-
-    // Simulate a kill partway through: keep the header and the first
-    // three completed cells, drop the rest.
-    std::vector<std::string> lines;
-    {
-        std::ifstream in(path);
-        std::string line;
-        while (std::getline(in, line))
-            lines.push_back(line);
-    }
-    ASSERT_GT(lines.size(), 4u);
-    {
-        std::ofstream out(path, std::ios::trunc);
-        for (std::size_t i = 0; i < 4; ++i)
-            out << lines[i] << "\n";
-    }
-
-    auto &reg = obs::MetricsRegistry::global();
-    std::uint64_t resumed_before = reg.counterValue("resil.resumed_cells");
-    auto resumed = runImprovementSweep(suite, sets, params);
-    resil::Checkpoint::setPathForTesting("");
-    EXPECT_GT(reg.counterValue("resil.resumed_cells"), resumed_before);
-
-    ASSERT_EQ(resumed.size(), full.size());
-    for (std::size_t k = 0; k < full.size(); ++k) {
-        ASSERT_EQ(resumed[k].ratio.size(), full[k].ratio.size());
-        for (std::size_t i = 0; i < full[k].ratio.size(); ++i)
-            EXPECT_EQ(std::memcmp(&resumed[k].ratio[i], &full[k].ratio[i],
-                                  sizeof(double)),
-                      0)
-                << "set " << k << " trace " << i;
-    }
-    std::remove(path.c_str());
-}
-
+/**
+ * A sweep resumes from the store's stats artifacts, so the store key is
+ * its resume signature: a rerun whose configuration differs only in the
+ * memory system must not be served the first run's cells.
+ */
 TEST(Checkpoint, SignatureCoversTheMemoryHierarchy)
 {
     auto suite = reducedSuite(1000, 15);
@@ -806,13 +710,20 @@ TEST(Checkpoint, SignatureCoversTheMemoryHierarchy)
     slow_dram.mem.dramLatency *= 4;
     const auto fresh = runImprovementSweep(suite, sets, slow_dram);
 
-    std::string path = tempPath("trb_resil_sig_ckpt.jsonl");
-    std::remove(path.c_str());
-    resil::Checkpoint::setPathForTesting(path);
+    std::string dir = tempPath("trb_resil_sig_store");
+    fs::remove_all(dir);
+    store::Store::setDirForTesting(dir);
     const auto first = runImprovementSweep(suite, sets, params);
+    auto &metrics = obs::MetricsRegistry::global();
+    const std::uint64_t hits = metrics.counterValue("store.hits");
+    const std::uint64_t misses = metrics.counterValue("store.misses");
     const auto second = runImprovementSweep(suite, sets, slow_dram);
-    resil::Checkpoint::setPathForTesting("");
-    std::remove(path.c_str());
+    EXPECT_EQ(metrics.counterValue("store.hits") - hits, 0u)
+        << "no cell of the first sweep may be reused";
+    EXPECT_GT(metrics.counterValue("store.misses") - misses, 0u)
+        << "the rerun must consult the store";
+    store::Store::setDirForTesting("");
+    fs::remove_all(dir);
 
     // The configs really disagree, so a shared signature would show.
     bool differs = false;

@@ -3,26 +3,34 @@
  * Tests for trb::store and the SimRequest store integration: key and
  * digest stability across Store instances, artifact round-trips,
  * quarantine of damaged artifacts (including TRB_FAULT-injected damage),
- * LRU eviction, and the headline contract -- simulate() results are
- * bit-identical whether the store is cold, warm, or disabled.
+ * LRU eviction, the completeness of the configuration key, and the
+ * headline contract -- simulate() results are bit-identical whether the
+ * store is cold, warm, or disabled, and a sweep rerun under a partly
+ * filled store resumes from it bit-identically.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "convert/improvements.hh"
+#include "experiments/experiment.hh"
 #include "obs/metrics.hh"
 #include "resil/fault.hh"
 #include "sim/simulator.hh"
 #include "store/digest.hh"
 #include "store/store.hh"
 #include "synth/generator.hh"
+#include "synth/suites.hh"
 
 namespace fs = std::filesystem;
 
@@ -342,30 +350,30 @@ TEST_F(StoreTest, SimulateBitIdenticalColdWarmDisabled)
 
     store::Store::setDirForTesting("");
     SimResult off = simulate(cvp, {.imps = kAllImps});
-    EXPECT_FALSE(off.traceFromStore);
     EXPECT_FALSE(off.statsFromStore);
 
     store::Store::setDirForTesting(dir_);
     SimResult cold = simulate(cvp, {.imps = kAllImps});
-    EXPECT_FALSE(cold.traceFromStore);
     EXPECT_FALSE(cold.statsFromStore);
 
     SimResult warm = simulate(cvp, {.imps = kAllImps});
-    EXPECT_FALSE(warm.traceFromStore) << "stats hit short-circuits";
     EXPECT_TRUE(warm.statsFromStore);
 
     EXPECT_EQ(off.stats.toBits(), cold.stats.toBits());
     EXPECT_EQ(off.stats.toBits(), warm.stats.toBits());
 
-    // A different warm-up reuses the converted trace but not the stats.
-    SimResult trace_hit =
+    // A different warm-up misses and re-simulates, bit-identically to a
+    // storeless run of the same request.
+    SimResult half = simulate(cvp, {.imps = kAllImps, .warmupFraction = 0.5});
+    EXPECT_FALSE(half.statsFromStore);
+    EXPECT_NE(half.stats.toBits(), warm.stats.toBits());
+    SimResult half_off = simulate(
+        cvp, {.imps = kAllImps, .warmupFraction = 0.5, .useStore = false});
+    EXPECT_EQ(half.stats.toBits(), half_off.stats.toBits());
+    SimResult half_warm =
         simulate(cvp, {.imps = kAllImps, .warmupFraction = 0.5});
-    EXPECT_TRUE(trace_hit.traceFromStore);
-    EXPECT_FALSE(trace_hit.statsFromStore);
-    SimResult trace_hit_warm =
-        simulate(cvp, {.imps = kAllImps, .warmupFraction = 0.5});
-    EXPECT_TRUE(trace_hit_warm.statsFromStore);
-    EXPECT_EQ(trace_hit.stats.toBits(), trace_hit_warm.stats.toBits());
+    EXPECT_TRUE(half_warm.statsFromStore);
+    EXPECT_EQ(half.stats.toBits(), half_warm.stats.toBits());
 
     // useStore=false bypasses the (warm) store and still agrees.
     SimResult bypass = simulate(cvp, {.imps = kAllImps,
@@ -386,10 +394,170 @@ TEST_F(StoreTest, SimulateKeySeparatesConfigurations)
         << "different CoreParams must never share a result";
     EXPECT_NE(modern.stats.toBits(), ipc1.stats.toBits());
 
+    CoreParams slow_dram;   // differs only in the memory system
+    slow_dram.mem.dramLatency *= 4;
+    SimResult slow = simulate(cvp, {.imps = kImpNone, .params = slow_dram});
+    EXPECT_FALSE(slow.statsFromStore)
+        << "the key must cover the memory hierarchy";
+    EXPECT_NE(modern.stats.toBits(), slow.stats.toBits());
+
     SimResult other_imps = simulate(cvp, {.imps = kImpCallStack});
-    EXPECT_FALSE(other_imps.statsFromStore);
-    EXPECT_FALSE(other_imps.traceFromStore)
+    EXPECT_FALSE(other_imps.statsFromStore)
         << "different improvements convert differently";
+}
+
+/**
+ * The store key is all that keeps two configurations' results apart, so
+ * every field of CoreParams, HierarchyParams and each level's
+ * CacheParams must move coreParamsKey() on its own.
+ */
+TEST(StoreKey, CoreParamsKeyCoversEveryField)
+{
+    using Edit = std::function<void(CoreParams &)>;
+    std::vector<std::pair<std::string, Edit>> edits = {
+        {"fetchWidth", [](CoreParams &p) { ++p.fetchWidth; }},
+        {"issueWidth", [](CoreParams &p) { ++p.issueWidth; }},
+        {"retireWidth", [](CoreParams &p) { ++p.retireWidth; }},
+        {"robSize", [](CoreParams &p) { ++p.robSize; }},
+        {"frontendDepth", [](CoreParams &p) { ++p.frontendDepth; }},
+        {"mispredictPenalty", [](CoreParams &p) { ++p.mispredictPenalty; }},
+        {"decodeRedirectPenalty",
+         [](CoreParams &p) { ++p.decodeRedirectPenalty; }},
+        {"decoupledFrontEnd",
+         [](CoreParams &p) { p.decoupledFrontEnd = !p.decoupledFrontEnd; }},
+        {"ftqLookahead", [](CoreParams &p) { ++p.ftqLookahead; }},
+        {"idealTargets",
+         [](CoreParams &p) { p.idealTargets = !p.idealTargets; }},
+        {"rules", [](CoreParams &p) { p.rules = DeductionRules::Original; }},
+        {"dirPred", [](CoreParams &p) { p.dirPred = DirPredKind::Gshare; }},
+        {"btbEntries", [](CoreParams &p) { p.btbEntries *= 2; }},
+        {"btbWays", [](CoreParams &p) { ++p.btbWays; }},
+        {"rasEntries", [](CoreParams &p) { ++p.rasEntries; }},
+        {"mem.dramLatency", [](CoreParams &p) { ++p.mem.dramLatency; }},
+        {"mem.l1dIpStride",
+         [](CoreParams &p) { p.mem.l1dIpStride = !p.mem.l1dIpStride; }},
+        {"mem.l2NextLine",
+         [](CoreParams &p) { p.mem.l2NextLine = !p.mem.l2NextLine; }},
+    };
+    const std::pair<const char *, CacheParams HierarchyParams::*> levels[] = {
+        {"l1i", &HierarchyParams::l1i},
+        {"l1d", &HierarchyParams::l1d},
+        {"l2", &HierarchyParams::l2},
+        {"llc", &HierarchyParams::llc},
+    };
+    for (const auto &[name, level] : levels) {
+        const std::string at = std::string("mem.") + name + ".";
+        edits.emplace_back(at + "sizeBytes", [level = level](CoreParams &p) {
+            (p.mem.*level).sizeBytes *= 2;
+        });
+        edits.emplace_back(at + "ways", [level = level](CoreParams &p) {
+            ++(p.mem.*level).ways;
+        });
+        edits.emplace_back(at + "latency", [level = level](CoreParams &p) {
+            ++(p.mem.*level).latency;
+        });
+        edits.emplace_back(at + "policy", [level = level](CoreParams &p) {
+            CacheParams &c = p.mem.*level;
+            c.policy = c.policy == ReplPolicy::Lru ? ReplPolicy::Srrip
+                                                   : ReplPolicy::Lru;
+        });
+    }
+    // 15 core fields, 3 hierarchy scalars, 4 levels x 4 cache fields.
+    ASSERT_EQ(edits.size(), 15u + 3u + 4u * 4u);
+
+    const std::string base = coreParamsKey(CoreParams{});
+    std::map<std::string, std::string> field_of_key;
+    for (const auto &[field, edit] : edits) {
+        CoreParams p;
+        edit(p);
+        const std::string key = coreParamsKey(p);
+        EXPECT_NE(key, base) << field << " is missing from the key";
+        const auto [it, fresh] = field_of_key.emplace(key, field);
+        EXPECT_TRUE(fresh) << field << " and " << it->second
+                           << " share a key";
+    }
+
+    // The cache name is a label for reports, not a parameter.
+    CoreParams renamed;
+    renamed.mem.l2.name = "other";
+    EXPECT_EQ(coreParamsKey(renamed), base);
+}
+
+/**
+ * simulate() publishes the stats and nothing else, under a key that
+ * must not move: a new spelling would orphan every existing store.
+ */
+TEST_F(StoreTest, SimulatePublishesOnePinnedStatsArtifact)
+{
+    CvpTrace cvp = TraceGenerator(serverParams(21)).generate(2000);
+    store::Store st(dir_);
+    SimResult r = simulate(cvp, {.imps = kAllImps, .store = &st});
+    EXPECT_FALSE(r.statsFromStore);
+
+    std::vector<store::ArtifactInfo> all = st.list();
+    ASSERT_EQ(all.size(), 1u);
+    EXPECT_EQ(all[0].kind, store::kStatsArtifact);
+    EXPECT_EQ(all[0].key,
+              "stats;sim=1;src=trace;conv=1;imps=0x3f;"
+              "cvp=068ca304e2a889a4ad860e20e234d22a;"
+              "core=fw=6;iw=6;rw=6;rob=320;fd=8;mp=2;drp=3;dfe=1;ftq=24;"
+              "it=0;rules=1;dir=0;btb=16384;btbw=8;ras=64;"
+              "l1i=32768/8/4/0;l1d=49152/12/5/0;l2=524288/8/10/0;"
+              "llc=2097152/16/24/1;dram=180;l1dpf=1;l2pf=1;"
+              "warm=0x0000000000000000;ipref=");
+}
+
+/**
+ * Sweep resume: the cells a killed sweep completed are in the store, so
+ * a rerun serves exactly those back and simulates exactly the rest.
+ */
+TEST_F(StoreTest, SweepResumesFromStoreBitIdentically)
+{
+    std::vector<TraceSpec> suite;
+    const std::vector<TraceSpec> full_suite = cvp1PublicSuite(1000);
+    for (std::size_t i = 0; i < full_suite.size(); i += 15)
+        suite.push_back(full_suite[i]);
+    const std::vector<NamedSet> sets(figureOneSets().begin(),
+                                     figureOneSets().begin() + 2);
+    const CoreParams params;
+
+    store::Store::setDirForTesting(dir_);
+    std::vector<SimStats> base_first;
+    const auto first = runImprovementSweep(suite, sets, params, &base_first);
+
+    // Mimic a kill: drop every third published cell.
+    store::Store st(dir_);
+    std::vector<store::ArtifactInfo> cells = st.list();
+    ASSERT_EQ(cells.size(), suiteCount(suite) * (1 + sets.size()));
+    std::uint64_t deleted = 0;
+    for (std::size_t i = 0; i < cells.size(); i += 3, ++deleted) {
+        ASSERT_EQ(cells[i].kind, store::kStatsArtifact);
+        fs::remove(dir_ + "/" + cells[i].file);
+    }
+    const std::uint64_t kept = cells.size() - deleted;
+
+    const std::uint64_t hits = counter("store.hits");
+    const std::uint64_t misses = counter("store.misses");
+    std::vector<SimStats> base_resumed;
+    const auto resumed =
+        runImprovementSweep(suite, sets, params, &base_resumed);
+    EXPECT_EQ(counter("store.hits") - hits, kept);
+    EXPECT_EQ(counter("store.misses") - misses, deleted);
+
+    ASSERT_EQ(resumed.size(), first.size());
+    for (std::size_t k = 0; k < first.size(); ++k) {
+        ASSERT_EQ(resumed[k].ratio.size(), first[k].ratio.size());
+        for (std::size_t i = 0; i < first[k].ratio.size(); ++i)
+            EXPECT_EQ(std::memcmp(&resumed[k].ratio[i], &first[k].ratio[i],
+                                  sizeof(double)),
+                      0)
+                << "set " << k << " trace " << i;
+    }
+    ASSERT_EQ(base_resumed.size(), base_first.size());
+    for (std::size_t i = 0; i < base_first.size(); ++i)
+        EXPECT_EQ(base_resumed[i].toBits(), base_first[i].toBits())
+            << "baseline of trace " << i;
+    EXPECT_EQ(st.list().size(), cells.size());
 }
 
 TEST_F(StoreTest, SimulateCorruptStoreFallsBack)

@@ -117,14 +117,17 @@ TEST_P(CvpFileRoundTrip, WholeTrace)
     for (int i = 0; i < 3000; ++i)
         trace.push_back(randomCvpRecord(rng));
     std::string path = tempPath(std::string("trb_cvp_rt") + GetParam());
-    writeCvpTrace(path, trace);
-    CvpTrace back = readCvpTrace(path);
+    ASSERT_TRUE(tryWriteCvpTrace(path, trace).ok());
+    Expected<CvpTrace> read = tryReadCvpTrace(path);
+    ASSERT_TRUE(read.ok()) << read.status().toString();
+    const CvpTrace &back = read.value();
     ASSERT_EQ(back.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i)
         ASSERT_TRUE(trace[i] == back[i]) << "record " << i;
 
     // Streaming reader agrees.
-    CvpTraceReader reader(path);
+    CvpTraceReader reader;
+    ASSERT_TRUE(reader.open(path).ok());
     EXPECT_EQ(reader.count(), trace.size());
     CvpRecord rec;
     std::size_t n = 0;
@@ -140,8 +143,10 @@ INSTANTIATE_TEST_SUITE_P(RawAndGz, CvpFileRoundTrip,
 TEST(CvpFile, EmptyTraceRoundTrips)
 {
     std::string path = tempPath("trb_cvp_empty.bin");
-    writeCvpTrace(path, {});
-    EXPECT_TRUE(readCvpTrace(path).empty());
+    ASSERT_TRUE(tryWriteCvpTrace(path, {}).ok());
+    Expected<CvpTrace> back = tryReadCvpTrace(path);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_TRUE(back.value().empty());
     fs::remove(path);
 }
 
@@ -200,8 +205,10 @@ TEST(ChampSimFile, RoundTripRawAndGz)
     }
     for (const char *suffix : {".bin", ".gz"}) {
         std::string path = tempPath(std::string("trb_cs_rt") + suffix);
-        writeChampSimTrace(path, trace);
-        ChampSimTrace back = readChampSimTrace(path);
+        ASSERT_TRUE(tryWriteChampSimTrace(path, trace).ok());
+        Expected<ChampSimTrace> read = tryReadChampSimTrace(path);
+        ASSERT_TRUE(read.ok()) << read.status().toString();
+        const ChampSimTrace &back = read.value();
         ASSERT_EQ(back.size(), trace.size());
         for (std::size_t i = 0; i < trace.size(); ++i)
             ASSERT_TRUE(trace[i] == back[i]);

@@ -13,6 +13,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <initializer_list>
 #include <string>
@@ -26,6 +27,16 @@ namespace
 {
 
 using namespace trb;
+
+/** Exit non-zero with the Status of a failed fixture write. */
+void
+check(const Status &st)
+{
+    if (st.ok())
+        return;
+    std::fprintf(stderr, "make_lint_testdata: %s\n", st.toString().c_str());
+    std::exit(1);
+}
 
 /** A plain ALU record: no branch flags, explicit reg slots. */
 ChampSimRecord
@@ -231,14 +242,14 @@ main(int argc, char **argv)
         CvpTrace cvp = TraceGenerator(params).generate(kLength);
 
         std::string base = dir + "/" + f.name;
-        writeCvpTrace(base + ".cvp.gz", cvp);
+        check(tryWriteCvpTrace(base + ".cvp.gz", cvp));
         for (ImprovementSet imps :
              {ImprovementSet{kAllImps}, ImprovementSet{kImpNone}}) {
             Cvp2ChampSim conv(imps);
             ChampSimTrace cs = conv.convert(cvp);
             std::string out = base + "." + improvementSetName(imps) +
                               ".champsimtrace.gz";
-            writeChampSimTrace(out, cs);
+            check(tryWriteChampSimTrace(out, cs));
             std::printf("%s: %zu records\n", out.c_str(), cs.size());
         }
     }
@@ -257,7 +268,7 @@ main(int argc, char **argv)
     for (const auto &f : cfgFixtures) {
         ChampSimTrace cs = f.build();
         std::string out = dir + "/" + f.name + ".champsimtrace.gz";
-        writeChampSimTrace(out, cs);
+        check(tryWriteChampSimTrace(out, cs));
         std::printf("%s: %zu records\n", out.c_str(), cs.size());
     }
     return 0;

@@ -102,14 +102,13 @@ printReply(const serve::ServeReply &reply, Tally &tally)
     }
     if (reply.op == "sim") {
         std::printf("sim%s%s: seq %llu ipc %.4f insts %llu cycles %llu "
-                    "trace_from_store %d stats_from_store %d\n",
+                    "stats_from_store %d\n",
                     reply.id.empty() ? "" : " ", reply.id.c_str(),
                     static_cast<unsigned long long>(reply.seq),
                     reply.stats.ipc(),
                     static_cast<unsigned long long>(
                         reply.stats.instructions),
                     static_cast<unsigned long long>(reply.stats.cycles),
-                    reply.traceFromStore ? 1 : 0,
                     reply.statsFromStore ? 1 : 0);
     } else if (reply.op == "ping") {
         std::printf("ping: ok schema %s uptime %.3fs\n",
