@@ -14,7 +14,7 @@ const std::vector<VarInfo> &
 registry()
 {
     // Alphabetical; every entry must have a row in docs/env-vars.md
-    // (enforced by `trace_lint --selftest` and tests/test_common.cc).
+    // (enforced by tests/test_common.cc and tools/repo_lint.py).
     static const std::vector<VarInfo> vars = {
         {"TRB_FAILURE_REPORT", "write the quarantine report JSON here"},
         {"TRB_FAULT", "deterministic fault injection spec (kind:rate,...)"},

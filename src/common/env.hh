@@ -6,8 +6,9 @@
  * one-line summary) and read through the typed accessors below; an
  * accessor passed an unregistered name dies immediately, so a new knob
  * cannot sneak in without a registry entry.  The registry is what keeps
- * docs/env-vars.md honest: `trace_lint --selftest` and the env unit
- * tests fail when a registered variable is missing from that table.
+ * docs/env-vars.md honest: the Env.EveryRegisteredVarIsDocumented unit
+ * test and tools/repo_lint.py (which also checks the reverse direction)
+ * fail when a registered variable is missing from that table.
  *
  * The legacy experiment-scaling helpers (traceLengthFromEnv,
  * suiteScaleFromEnv) live on top of the typed accessors and keep their
@@ -30,7 +31,7 @@ namespace env
 struct VarInfo
 {
     const char *name;      //!< "TRB_..."
-    const char *summary;   //!< one line, for --selftest / diagnostics
+    const char *summary;   //!< one line, for diagnostics
 };
 
 /** Every TRB_* variable the tree reads, in stable (alphabetical) order. */

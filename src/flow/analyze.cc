@@ -8,7 +8,6 @@
 #include "flow/rules.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
-#include "store/store.hh"
 
 namespace trb
 {
@@ -107,51 +106,19 @@ resolveCfgRules(const lint::LintOptions &opts)
     return ids;
 }
 
-/** Regions via the store when enabled, rebuilding on any miss. */
-void
-resolveRegions(FlowResult &result, const ChampSimTrace &trace,
-               const std::string &digest_hex, const FlowOptions &opts)
-{
-    if (opts.regionUops == 0)
-        return;
-    obs::SpanScope span("analyze.regions");
-    store::Store *cache =
-        opts.useStore ? store::Store::global() : nullptr;
-    if (cache != nullptr) {
-        std::vector<std::uint64_t> bbv_bits;
-        std::vector<std::uint64_t> mav_bits;
-        if (cache->loadBits(store::kRegionBbvArtifact,
-                            bbvKey(digest_hex, opts.regionUops),
-                            bbv_bits) &&
-            cache->loadBits(store::kRegionMavArtifact,
-                            mavKey(digest_hex, opts.regionUops),
-                            mav_bits) &&
-            result.regions.fromBits(bbv_bits, mav_bits)) {
-            result.regionsFromStore = true;
-            return;
-        }
-    }
-    result.regions =
-        buildRegions(trace, result.cfg, opts.regionUops);
-    if (cache != nullptr) {
-        cache->putBits(store::kRegionBbvArtifact,
-                       bbvKey(digest_hex, opts.regionUops),
-                       result.regions.bbvBits());
-        cache->putBits(store::kRegionMavArtifact,
-                       mavKey(digest_hex, opts.regionUops),
-                       result.regions.mavBits());
-    }
-}
-
-/** The shared tail: CFG, dataflow, whole-program rules, regions. */
+/** The shared tail: CFG, dataflow and the selected whole-program rules. */
 void
 analyzeTail(FlowResult &result, const ChampSimTrace &trace,
-            const std::string &digest_hex, const FlowOptions &opts)
+            const lint::LintOptions &opts)
 {
+    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
+    metrics.addCounter("flow.analyses");
+    const std::vector<std::string> rules = resolveCfgRules(opts);
+    if (rules.empty())
+        return;   // streaming-only selection: no CFG to build
     {
         obs::SpanScope span("analyze.cfg");
-        result.cfg =
-            buildCfg(trace, opts.lint.limits.maxContiguousStep);
+        result.cfg = buildCfg(trace, opts.limits.maxContiguousStep);
     }
     {
         obs::SpanScope span("analyze.dataflow");
@@ -159,47 +126,40 @@ analyzeTail(FlowResult &result, const ChampSimTrace &trace,
     }
     {
         obs::SpanScope span("analyze.rules");
-        CfgSink sink(opts.lint.maxDiagnosticsPerRule);
-        runCfgRules(result.cfg, result.dataflow, opts.lint.limits,
-                    resolveCfgRules(opts.lint), sink);
+        CfgSink sink(opts.maxDiagnosticsPerRule);
+        runCfgRules(result.cfg, result.dataflow, opts.limits, rules, sink);
         sink.mergeInto(result.report);
     }
-    resolveRegions(result, trace, digest_hex, opts);
-
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    metrics.addCounter("flow.analyses");
     metrics.addCounter("flow.blocks", result.cfg.blocks.size());
     metrics.addCounter("flow.edges", result.cfg.edges.size());
     metrics.addCounter("flow.teleports", result.cfg.teleports);
-    metrics.addCounter("flow.regions", result.regions.numRegions);
     metrics.addCounter("flow.chains", result.dataflow.chains.size());
 }
 
 } // namespace
 
 FlowResult
-analyzeTrace(const ChampSimTrace &trace, const FlowOptions &opts)
+analyzeTrace(const ChampSimTrace &trace, const lint::LintOptions &opts)
 {
     FlowResult result;
     {
         obs::SpanScope span("analyze.lint");
-        result.report = lint::lintTrace(trace, opts.lint);
+        result.report = lint::lintTrace(trace, opts);
     }
-    analyzeTail(result, trace,
-                store::digestChampSimTrace(trace).hex(), opts);
+    analyzeTail(result, trace, opts);
     return result;
 }
 
 FlowResult
 analyzeConverted(const CvpTrace &cvp, const ChampSimTrace &trace,
-                 const FlowOptions &opts)
+                 const lint::LintOptions &opts)
 {
     FlowResult result;
     {
         obs::SpanScope span("analyze.lint");
-        result.report = lint::lintConverted(cvp, trace, opts.lint);
+        result.report = lint::lintConverted(cvp, trace, opts);
     }
-    analyzeTail(result, trace, store::digestCvpTrace(cvp).hex(), opts);
+    analyzeTail(result, trace, opts);
     return result;
 }
 
@@ -207,6 +167,10 @@ void
 writeAnalysisJson(std::ostream &os, const FlowResult &result,
                   const std::string &name)
 {
+    if (result.cfg.blocks.empty()) {
+        lint::writeReportJson(os, result.report, name);
+        return;
+    }
     std::ostringstream report;
     lint::writeReportJson(report, result.report, name);
     std::string body = report.str();
@@ -215,16 +179,9 @@ writeAnalysisJson(std::ostream &os, const FlowResult &result,
        << ", \"edges\": " << result.cfg.edges.size()
        << ", \"teleports\": " << result.cfg.teleports
        << ", \"entry_pc\": \"0x" << std::hex
-       << (result.cfg.blocks.empty()
-               ? 0
-               : result.cfg.blocks[result.cfg.entryBlock].start)
-       << std::dec << "\", \"chains\": " << result.dataflow.chains.size()
-       << ", \"chain_links\": " << result.dataflow.chainLinks
-       << "}, \"regions\": {\"count\": " << result.regions.numRegions
-       << ", \"uops\": " << result.regions.regionUops
-       << ", \"blocks\": " << result.regions.blockPcs.size()
-       << ", \"from_store\": "
-       << (result.regionsFromStore ? "true" : "false") << "}}";
+       << result.cfg.blocks[result.cfg.entryBlock].start << std::dec
+       << "\", \"chains\": " << result.dataflow.chains.size()
+       << ", \"chain_links\": " << result.dataflow.chainLinks << "}}";
 }
 
 void
@@ -232,15 +189,13 @@ writeAnalysisText(std::ostream &os, const FlowResult &result,
                   const std::string &name)
 {
     lint::writeReportText(os, result.report, name);
+    if (result.cfg.blocks.empty())
+        return;
     os << "  cfg: " << result.cfg.blocks.size() << " block(s), "
        << result.cfg.edges.size() << " edge(s), " << result.cfg.teleports
        << " teleport(s), " << result.dataflow.chains.size()
        << " def-use chain(s) / " << result.dataflow.chainLinks
-       << " link(s)\n"
-       << "  regions: " << result.regions.numRegions << " x "
-       << result.regions.regionUops << " µops over "
-       << result.regions.blockPcs.size() << " block(s)"
-       << (result.regionsFromStore ? " [store]" : "") << "\n";
+       << " link(s)\n";
 }
 
 } // namespace flow

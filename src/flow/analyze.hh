@@ -10,28 +10,26 @@
  *   3. the worklist dataflow solution (flow/dataflow.hh);
  *   4. the whole-program lint rules (flow/rules.hh), merged into the
  *      same LintReport -- one report, streaming and CFG findings side
- *      by side, rendered by the existing writeReportText/Json;
- *   5. the region signatures (flow/regions.hh), cached through
- *      trb::store when enabled (keyed by trace content digest +
- *      analyzer version + region length, so a warm store serves them
- *      back bit-identically with store.misses == 0).
+ *      by side, rendered by the existing writeReportText/Json.
  *
- * Observability: phases analyze.{lint,cfg,dataflow,rules,regions} in
- * the trb::obs profile, counters flow.{analyses,blocks,edges,
- * teleports,regions,chains} and flow.<rule>.violations in the global
- * registry.  Everything is deterministic per trace at any TRB_JOBS.
+ * Steps 2-4 run only when the enable/disable selection keeps at least
+ * one whole-program rule; a streaming-only selection leaves the Cfg
+ * empty and the report equal to lint::lintTrace()/lintConverted().
+ *
+ * Observability: phases analyze.{lint,cfg,dataflow,rules} in the
+ * trb::obs profile, counters flow.{analyses,blocks,edges,teleports,
+ * chains} and flow.<rule>.violations in the global registry.
+ * Everything is deterministic per trace at any TRB_JOBS.
  */
 
 #ifndef TRB_FLOW_ANALYZE_HH
 #define TRB_FLOW_ANALYZE_HH
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 
 #include "flow/cfg.hh"
 #include "flow/dataflow.hh"
-#include "flow/regions.hh"
 #include "lint/lint.hh"
 
 namespace trb
@@ -39,57 +37,34 @@ namespace trb
 namespace flow
 {
 
-/** Configuration of one whole-program analysis. */
-struct FlowOptions
-{
-    /** Streaming + whole-program rule selection, limits and caps. */
-    lint::LintOptions lint;
-
-    /** Region length in µops; 0 skips the region signatures. */
-    std::uint64_t regionUops = 10000;
-
-    /**
-     * Serve/publish region artifacts through Store::global() (a no-op
-     * when no TRB_STORE is configured, exactly like the simulator).
-     */
-    bool useStore = true;
-
-    /** Tag used in reports and logs. */
-    std::string name;
-};
-
 /** Everything the analyzer learned about one trace. */
 struct FlowResult
 {
     /** Streaming findings plus the whole-program findings. */
     lint::LintReport report;
 
+    /** Empty when no whole-program rule was selected (or no records). */
     Cfg cfg;
     Dataflow dataflow;
-    RegionSignatures regions;
-
-    /** True when both region artifacts came out of the store. */
-    bool regionsFromStore = false;
 };
 
 /** Analyze a ChampSim trace alone (stream-only lint rules). */
 FlowResult analyzeTrace(const ChampSimTrace &trace,
-                        const FlowOptions &opts = {});
+                        const lint::LintOptions &opts = {});
 
 /** Analyze a converted trace against its originating CVP-1 stream. */
 FlowResult analyzeConverted(const CvpTrace &cvp, const ChampSimTrace &trace,
-                            const FlowOptions &opts = {});
+                            const lint::LintOptions &opts = {});
 
 /**
- * Machine-readable analysis object: the writeReportJson object plus
- * "cfg": {"blocks", "edges", "teleports", "entry_pc", "chains",
- * "chain_links"} and "regions": {"count", "uops", "blocks",
- * "from_store"}.
+ * Machine-readable analysis object: the writeReportJson object plus,
+ * when the CFG was built, "cfg": {"blocks", "edges", "teleports",
+ * "entry_pc", "chains", "chain_links"}.
  */
 void writeAnalysisJson(std::ostream &os, const FlowResult &result,
                        const std::string &name);
 
-/** Human-readable analysis summary (report + CFG/region footer). */
+/** Human-readable analysis summary (report + CFG footer when built). */
 void writeAnalysisText(std::ostream &os, const FlowResult &result,
                        const std::string &name);
 

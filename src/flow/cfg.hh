@@ -24,7 +24,7 @@
  *  - the call-site fall-through set versus observed return targets, the
  *    call/return-edge balance evidence;
  *  - per-block dynamic memory summaries (load/store mix, stride
- *    classes, cacheline footprint) for the region signatures.
+ *    classes, cacheline footprint).
  *
  * Blocks, edges and facts are all in stream-discovery order, so the
  * whole structure is deterministic for a given trace regardless of

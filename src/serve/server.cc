@@ -488,8 +488,6 @@ ServeDaemon::runSim(std::shared_ptr<Job> job, std::uint64_t seq)
             reply = simReplyJson(job->req.id, result, seq);
             served_.fetch_add(1);
             reg().addCounter("serve.served");
-            reg().addCounter("serve.client." + job->conn->client +
-                             ".served");
         } catch (const resil::CancelledError &e) {
             reg().addCounter("serve.timeout.cancelled");
             reply = errorReplyJson("sim", job->req.id,

@@ -50,6 +50,7 @@ struct ArtifactHeader
 static_assert(sizeof(ArtifactHeader) == 64,
               "artifact header must stay 64 bytes (on-disk format)");
 
+/** File-name prefix per kind (retired kinds keep theirs for verify). */
 const char *
 kindPrefix(std::uint32_t kind)
 {
@@ -445,28 +446,14 @@ Store::putTrace(const std::string &key, const ChampSimTrace &trace)
 bool
 Store::loadBits(const std::string &key, std::vector<std::uint64_t> &out)
 {
-    return loadBits(kStatsArtifact, key, out);
-}
-
-void
-Store::putBits(const std::string &key,
-               const std::vector<std::uint64_t> &bits)
-{
-    putBits(kStatsArtifact, key, bits);
-}
-
-bool
-Store::loadBits(std::uint32_t kind, const std::string &key,
-                std::vector<std::uint64_t> &out)
-{
     MappedFile map;
     std::vector<std::uint8_t> owned;
     const std::uint8_t *payload = nullptr;
     std::size_t bytes = 0;
-    if (!loadArtifact(kind, key, map, owned, payload, bytes))
+    if (!loadArtifact(kStatsArtifact, key, map, owned, payload, bytes))
         return false;
     if (bytes % sizeof(std::uint64_t) != 0) {
-        quarantine(artifactPath(kind, key),
+        quarantine(artifactPath(kStatsArtifact, key),
                    Status::corrupt("bit-pattern payload is not whole u64s")
                        .rule("store.record-size"));
         return false;
@@ -477,10 +464,10 @@ Store::loadBits(std::uint32_t kind, const std::string &key,
 }
 
 void
-Store::putBits(std::uint32_t kind, const std::string &key,
+Store::putBits(const std::string &key,
                const std::vector<std::uint64_t> &bits)
 {
-    putArtifact(kind, key, bits.data(),
+    putArtifact(kStatsArtifact, key, bits.data(),
                 bits.size() * sizeof(std::uint64_t));
 }
 

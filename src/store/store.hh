@@ -8,7 +8,8 @@
  *
  * The converted-trace kind (the raw 64-byte record array, read back
  * zero-copy through an mmap'd ChampSimView) is not used by simulate();
- * list/verify/gc handle the ones older stores hold.
+ * list/verify/gc handle the ones older stores hold, and likewise the
+ * retired region kinds 3/4, which no code writes or reads any more.
  *
  * Keys are canonical strings composed by the simulator facade (CVP
  * content digest + improvement set + converter version for the source,
@@ -51,8 +52,8 @@ enum ArtifactKind : std::uint32_t
 {
     kTraceArtifact = 1,      //!< converted ChampSim trace (record array)
     kStatsArtifact = 2,      //!< u64 bit-pattern vector (SimStats::toBits)
-    kRegionBbvArtifact = 3,  //!< per-region basic-block vectors (trb::flow)
-    kRegionMavArtifact = 4,  //!< per-region memory-access vectors (trb::flow)
+    kRegionBbvArtifact = 3,  //!< retired: region basic-block vectors
+    kRegionMavArtifact = 4,  //!< retired: region memory-access vectors
 };
 
 /** Store format version; bump on any layout change. */
@@ -159,18 +160,6 @@ class Store
 
     /** Publish a u64 bit-pattern artifact under @p key (best-effort). */
     void putBits(const std::string &key,
-                 const std::vector<std::uint64_t> &bits);
-
-    /**
-     * Kind-explicit u64 bit-pattern fetch, for the non-stats vector
-     * artifacts (region BBV/MAV matrices).  @p kind must be a
-     * bit-pattern ArtifactKind, never kTraceArtifact.
-     */
-    bool loadBits(std::uint32_t kind, const std::string &key,
-                  std::vector<std::uint64_t> &out);
-
-    /** Kind-explicit u64 bit-pattern publish (best-effort). */
-    void putBits(std::uint32_t kind, const std::string &key,
                  const std::vector<std::uint64_t> &bits);
 
     /** Every artifact in the store, sorted by file name. */

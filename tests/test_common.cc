@@ -328,8 +328,7 @@ TEST(Env, RegistryIsSortedAndQueryable)
 TEST(Env, EveryRegisteredVarIsDocumented)
 {
     // docs/env-vars.md is the user-facing contract; a knob that is
-    // registered but undocumented fails here and in trace_lint
-    // --selftest.
+    // registered but undocumented fails here and in tools/repo_lint.py.
     std::ifstream in(std::string(TRB_SOURCE_DIR) + "/docs/env-vars.md");
     ASSERT_TRUE(in.good()) << "docs/env-vars.md missing";
     std::stringstream ss;

@@ -4,17 +4,16 @@
  * the worklist dataflow solution, the whole-program lint rules against
  * the committed cfg_* fixtures (which the streaming linter must pass),
  * streaming/whole-program agreement on the dirty No_imp fixtures, and
- * the region-signature matrices including their bit-identical round
- * trip through the artifact store.
+ * the streaming-only selection that skips the CFG altogether.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <initializer_list>
 #include <ostream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -22,8 +21,6 @@
 #include "flow/analyze.hh"
 #include "flow/rules.hh"
 #include "lint/lint.hh"
-#include "obs/metrics.hh"
-#include "store/store.hh"
 #include "synth/generator.hh"
 #include "trace/champsim_trace.hh"
 
@@ -35,7 +32,6 @@ namespace
 using flow::Cfg;
 using flow::Dataflow;
 using flow::EdgeKind;
-using flow::FlowOptions;
 using flow::FlowResult;
 
 // ---------------------------------------------------------------------
@@ -275,9 +271,7 @@ TEST_P(CfgFixture, StreamingPassesAnalyzerFlags)
     EXPECT_EQ(streaming.violations(), 0u)
         << fc.file << " must be invisible to the linear scan";
 
-    FlowOptions opts;
-    opts.useStore = false;
-    FlowResult result = flow::analyzeTrace(trace.value(), opts);
+    FlowResult result = flow::analyzeTrace(trace.value());
     EXPECT_GT(result.report.countFor(fc.rule), 0u);
     for (const lint::RuleCount &rc : result.report.counts)
         EXPECT_EQ(rc.rule, fc.rule)
@@ -306,9 +300,7 @@ TEST(CfgRules, StaleDefReportsUseSite)
     auto trace =
         tryReadChampSimTrace(fixturePath("cfg_staledef.champsimtrace.gz"));
     ASSERT_TRUE(trace.ok());
-    FlowOptions opts;
-    opts.useStore = false;
-    FlowResult result = flow::analyzeTrace(trace.value(), opts);
+    FlowResult result = flow::analyzeTrace(trace.value());
     ASSERT_EQ(result.report.countFor("cfg-stale-def"), 2u);
     for (const lint::Diagnostic &d : result.report.diagnostics)
         EXPECT_EQ(d.pc, 0x3000u);   // the cross-block read, not the def
@@ -329,10 +321,7 @@ TEST(Agreement, AnalyzerSubsumesStreamingFindings)
         ASSERT_TRUE(trace.ok()) << name;
 
         lint::LintReport streaming = lint::lintTrace(trace.value());
-        FlowOptions opts;
-        opts.useStore = false;
-        opts.regionUops = 0;
-        FlowResult whole = flow::analyzeTrace(trace.value(), opts);
+        FlowResult whole = flow::analyzeTrace(trace.value());
 
         std::set<std::pair<std::string, Addr>> found;
         for (const lint::Diagnostic &d : whole.report.diagnostics)
@@ -347,6 +336,52 @@ TEST(Agreement, AnalyzerSubsumesStreamingFindings)
 }
 
 // ---------------------------------------------------------------------
+// A selection without whole-program rules builds no CFG and renders
+// exactly what the streaming linter renders, text and JSON alike.
+
+void
+expectStreamingOnly(const FlowResult &whole,
+                    const lint::LintReport &streaming,
+                    const std::string &name)
+{
+    EXPECT_TRUE(whole.cfg.blocks.empty()) << name;
+    EXPECT_TRUE(whole.dataflow.chains.empty()) << name;
+
+    std::ostringstream whole_text, streaming_text;
+    flow::writeAnalysisText(whole_text, whole, name);
+    lint::writeReportText(streaming_text, streaming, name);
+    EXPECT_EQ(whole_text.str(), streaming_text.str());
+
+    std::ostringstream whole_json, streaming_json;
+    flow::writeAnalysisJson(whole_json, whole, name);
+    lint::writeReportJson(streaming_json, streaming, name);
+    EXPECT_EQ(whole_json.str(), streaming_json.str());
+}
+
+TEST(Agreement, StreamingOnlySelectionSkipsTheCfg)
+{
+    lint::LintOptions opts;
+    opts.disable = flow::wholeProgramRuleIds();
+    for (std::string stem : {"srv_small", "int_small", "mem_small"}) {
+        auto cs = tryReadChampSimTrace(
+            fixturePath(stem + ".No_imp.champsimtrace.gz"));
+        auto cvp = tryReadCvpTrace(fixturePath(stem + ".cvp.gz"));
+        ASSERT_TRUE(cs.ok()) << stem;
+        ASSERT_TRUE(cvp.ok()) << stem;
+
+        expectStreamingOnly(flow::analyzeTrace(cs.value(), opts),
+                            lint::lintTrace(cs.value(), opts),
+                            stem + " (stream-only)");
+        lint::LintReport paired =
+            lint::lintConverted(cvp.value(), cs.value(), opts);
+        EXPECT_GT(paired.violations(), 0u) << stem;
+        expectStreamingOnly(
+            flow::analyzeConverted(cvp.value(), cs.value(), opts), paired,
+            stem + " (paired)");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Clean conversions stay clean under the whole-program pass.
 
 TEST(Analyze, FullyImprovedConversionsAreClean)
@@ -356,102 +391,12 @@ TEST(Analyze, FullyImprovedConversionsAreClean)
         CvpTrace cvp = TraceGenerator(params).generate(20000);
         ChampSimTrace cs = Cvp2ChampSim(ImprovementSet{kAllImps}).convert(cvp);
 
-        FlowOptions opts;
-        opts.useStore = false;
-        FlowResult result = flow::analyzeConverted(cvp, cs, opts);
+        FlowResult result = flow::analyzeConverted(cvp, cs);
         EXPECT_TRUE(result.report.paired);
         EXPECT_EQ(result.report.violations(), 0u);
         EXPECT_EQ(result.cfg.teleports, 0u);
         EXPECT_GT(result.cfg.blocks.size(), 1u);
-        EXPECT_FALSE(result.regions.empty());
     }
-}
-
-// ---------------------------------------------------------------------
-// Region signatures.
-
-TEST(Regions, RowsSumToRegionLength)
-{
-    ChampSimTrace t = loopTrace(100);   // 700 µops
-    Cfg cfg = flow::buildCfg(t);
-    flow::RegionSignatures regions = flow::buildRegions(t, cfg, 100);
-
-    ASSERT_EQ(regions.numRegions, 7u);
-    ASSERT_EQ(regions.blockPcs.size(), 3u);
-    EXPECT_TRUE(std::is_sorted(regions.blockPcs.begin(),
-                               regions.blockPcs.end()));
-    for (std::uint64_t r = 0; r < regions.numRegions; ++r) {
-        std::uint64_t uops = 0;
-        for (std::size_t c = 0; c < regions.blockPcs.size(); ++c)
-            uops += regions.bbvAt(r, c);
-        EXPECT_EQ(uops, 100u);
-        EXPECT_EQ(regions.mavAt(r, flow::kMavStores), 0u);
-        EXPECT_GT(regions.mavAt(r, flow::kMavLoads), 0u);
-    }
-    // Every line is new in its first region and the loop never revisits.
-    EXPECT_EQ(regions.mavAt(0, flow::kMavNewLines),
-              regions.mavAt(0, flow::kMavUniqueLines));
-}
-
-TEST(Regions, BitsRoundTrip)
-{
-    ChampSimTrace t = loopTrace(50);
-    Cfg cfg = flow::buildCfg(t);
-    flow::RegionSignatures regions = flow::buildRegions(t, cfg, 64);
-
-    flow::RegionSignatures back;
-    ASSERT_TRUE(back.fromBits(regions.bbvBits(), regions.mavBits()));
-    EXPECT_EQ(back.regionUops, regions.regionUops);
-    EXPECT_EQ(back.numRegions, regions.numRegions);
-    EXPECT_EQ(back.blockPcs, regions.blockPcs);
-    EXPECT_EQ(back.bbv, regions.bbv);
-    EXPECT_EQ(back.mav, regions.mav);
-
-    // Tampered headers are rejected without touching the destination.
-    std::vector<std::uint64_t> bad = regions.bbvBits();
-    bad[0] ^= 1;
-    flow::RegionSignatures untouched;
-    EXPECT_FALSE(untouched.fromBits(bad, regions.mavBits()));
-    EXPECT_EQ(untouched.numRegions, 0u);
-}
-
-TEST(Regions, DeterministicAcrossRebuilds)
-{
-    ChampSimTrace t = loopTrace(80);
-    Cfg cfg = flow::buildCfg(t);
-    flow::RegionSignatures a = flow::buildRegions(t, cfg, 128);
-    flow::RegionSignatures b = flow::buildRegions(t, cfg, 128);
-    EXPECT_EQ(a.bbvBits(), b.bbvBits());
-    EXPECT_EQ(a.mavBits(), b.mavBits());
-}
-
-// ---------------------------------------------------------------------
-// Store round trip: a warm analysis serves both region artifacts from
-// the store, bit-identically, with zero misses.
-
-TEST(Regions, WarmStoreServesRegions)
-{
-    std::string dir = std::string(TRB_BUILD_DIR) + "/flow_store_test";
-    std::filesystem::remove_all(dir);
-    store::Store::setDirForTesting(dir);
-
-    ChampSimTrace t = loopTrace(60);
-    FlowOptions opts;
-    opts.regionUops = 100;
-
-    FlowResult cold = flow::analyzeTrace(t, opts);
-    EXPECT_FALSE(cold.regionsFromStore);
-
-    auto &metrics = obs::MetricsRegistry::global();
-    std::uint64_t missesBefore = metrics.counterValue("store.misses");
-    FlowResult warm = flow::analyzeTrace(t, opts);
-    EXPECT_TRUE(warm.regionsFromStore);
-    EXPECT_EQ(metrics.counterValue("store.misses"), missesBefore);
-    EXPECT_EQ(warm.regions.bbvBits(), cold.regions.bbvBits());
-    EXPECT_EQ(warm.regions.mavBits(), cold.regions.mavBits());
-
-    store::Store::setDirForTesting("");
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

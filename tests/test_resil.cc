@@ -760,6 +760,21 @@ TEST(ToolExitCodes, TraceLint)
                       fixture("clean.champsimtrace.gz")),
               2);
     EXPECT_EQ(runTool(lint), 2);   // usage
+
+    // Serve-grammar specs are resolved, converted and checked paired.
+    EXPECT_EQ(runTool(lint + " --fail-on=error --length 20000 preset:int:7"),
+              0);
+    EXPECT_EQ(runTool(lint + " suite:cvp1:no_such_trace"), 2);
+
+    // A seeded CFG defect fails only through the whole-program rules.
+    const std::string staledef =
+        TRB_SOURCE_DIR "/tests/data/lint/cfg_staledef.champsimtrace.gz";
+    EXPECT_EQ(runTool(lint + " --fail-on=error " + staledef), 1);
+    EXPECT_EQ(runTool(lint + " --fail-on=warn --disable cfg-stale-def,"
+                             "cfg-unreachable,cfg-fallthrough,"
+                             "cfg-call-balance,cfg-flag-staleness " +
+                      staledef),
+              0);
 }
 
 TEST(ToolExitCodes, Cvp2ChampSim)

@@ -579,6 +579,46 @@ TEST_F(ServeDaemonTest, SimMatchesDirectSimulateColdAndWarm)
     daemon.stop();
 }
 
+TEST_F(ServeDaemonTest, MetricTableStaysBoundedAcrossConnections)
+{
+    // A long-running daemon sees an unbounded number of connections;
+    // none of them may leave a registry row behind.
+    par::ThreadPool pool(2);
+    ServeDaemon daemon(config(), &pool);
+    ASSERT_TRUE(daemon.start().ok());
+
+    auto &reg = obs::MetricsRegistry::global();
+    std::size_t after_first = 0;
+    for (int conn = 0; conn < 4; ++conn) {
+        const std::uint64_t closes = counter("resil.errors.truncated_input");
+        {
+            ServeClient client;
+            ASSERT_TRUE(client.connect(socketPath_).ok());
+            ServeRequest req;
+            req.op = Op::Sim;
+            req.trace = "preset:int:5";
+            req.length = 2000;
+            req.useStore = false;
+            req.id = "conn-" + std::to_string(conn);
+            ServeReply reply;
+            ASSERT_TRUE(client.call(req, reply).ok());
+            ASSERT_TRUE(reply.ok) << reply.error.toString();
+        }
+        // The daemon types a clean hang-up as a truncated_input status;
+        // wait for it, so each snapshot covers a connection's whole life.
+        for (int spin = 0;
+             spin < 2000 && counter("resil.errors.truncated_input") == closes;
+             ++spin)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+        const std::size_t rows = reg.snapshot().counters.size();
+        if (conn == 0)
+            after_first = rows;
+        EXPECT_EQ(rows, after_first) << "connection " << conn;
+    }
+    daemon.stop();
+}
+
 TEST_F(ServeDaemonTest, BackpressureRepliesBusyAtQueueBound)
 {
     ServeConfig cfg = config();

@@ -343,6 +343,44 @@ TEST_F(StoreTest, ListReportsKindsAndKeys)
     EXPECT_TRUE(saw_stats);
 }
 
+TEST_F(StoreTest, VerifyAcceptsRetiredRegionKinds)
+{
+    // No code writes region artifacts any more, but older stores hold
+    // bv- files: forge one from a stats artifact by rewriting its kind.
+    store::Store st(dir_);
+    const std::string key = "flow-bbv;v=1;trace=feed;rlen=10000";
+    st.putBits(key, {1, 2, 3});
+    const std::string region =
+        st.artifactPath(store::kRegionBbvArtifact, key);
+    fs::copy_file(st.artifactPath(store::kStatsArtifact, key), region);
+    {
+        std::fstream f(region,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        const std::uint32_t kind = store::kRegionBbvArtifact;
+        f.seekp(12);   // the header's u32 kind field
+        f.write(reinterpret_cast<const char *>(&kind), sizeof(kind));
+    }
+
+    std::uint64_t quarantined = counter("store.quarantined");
+    store::Store::VerifyResult result = st.verify();
+    EXPECT_EQ(result.checked, 2u);
+    EXPECT_EQ(result.ok, 2u);
+    EXPECT_TRUE(result.bad.empty());
+    EXPECT_EQ(counter("store.quarantined"), quarantined);
+    EXPECT_TRUE(fs::exists(region));
+
+    bool saw_region = false;
+    for (const store::ArtifactInfo &info : st.list()) {
+        if (dir_ + "/" + info.file != region)
+            continue;
+        saw_region = true;
+        EXPECT_TRUE(info.status.ok());
+        EXPECT_EQ(info.kind, store::kRegionBbvArtifact);
+        EXPECT_EQ(info.key, key);
+    }
+    EXPECT_TRUE(saw_region);
+}
+
 /** The headline contract: cold, warm and disabled runs are identical. */
 TEST_F(StoreTest, SimulateBitIdenticalColdWarmDisabled)
 {

@@ -6,8 +6,9 @@
  * seeding exactly one whole-program CFG defect.  CI lints the All_imps
  * pairs with --fail-on=error (must be clean), publishes the No_imp JSON
  * report as an artifact (must be full of findings), and gates the
- * cfg_* fixtures both ways: trace_lint must pass them (the defects are
- * invisible to a linear scan) while trace_analyze must flag them.
+ * cfg_* fixtures both ways: trace_lint's whole-program rules must flag
+ * them, while its streaming rules alone must pass them (the defects are
+ * invisible to a linear scan).
  *
  * Usage:  make_lint_testdata [output-dir]   (default tests/data/lint)
  */

@@ -1,40 +1,51 @@
 /**
  * @file
- * trace_lint -- the trb::lint command-line front-end.
+ * trace_lint -- the trb::lint / trb::flow command-line front-end.
  *
  * Statically checks converted ChampSim traces (and, when the originating
  * CVP-1 stream is given, the conversion itself) against the invariants a
- * fully improved cvp2champsim conversion guarantees.  No simulation runs.
+ * fully improved cvp2champsim conversion guarantees: the streaming rules
+ * first, then -- when the rule selection keeps any -- the CFG-aware
+ * whole-program rules the linear scan cannot express.  No simulation
+ * runs.
  *
- *   trace_lint trace.champsim.gz                  # structural rules only
- *   trace_lint --cvp orig.cvp.gz trace.champsim.gz   # all rules (paired)
- *   trace_lint --synth cvp1 --imp No_imp          # lint a synth suite
+ *   trace_lint trace.champsim.gz                  # stream-only rules
+ *   trace_lint --cvp orig.cvp.gz trace.champsim.gz   # paired
+ *   trace_lint suite:cvp1:srv_web                 # a served suite entry
+ *   trace_lint preset:int:7 --imp No_imp          # a synth preset
+ *   trace_lint file:orig.cvp.gz                   # a CVP-1 file, paired
+ *   trace_lint --synth cvp1                       # the whole suite
  *   trace_lint --list-rules                       # rule catalog
- *   trace_lint --selftest                         # env registry vs docs
  *
- * Multiple trace files are linted in parallel on trb::par's global pool
+ * Spec arguments (suite:/preset:/file:, the trb::serve grammar) resolve
+ * to a CVP-1 stream which is converted with --imp and checked paired;
+ * bare paths are read as ChampSim traces and checked stream-only.
+ *
+ * Multiple inputs are checked in parallel on trb::par's global pool
  * (TRB_JOBS threads); reports are index-addressed, so output order always
  * matches input order.  The --synth mode fans out through the experiment
- * harness's forEachTrace(), exactly like the bench binaries.
+ * harness's forEachTrace(), exactly like the bench binaries.  All output
+ * is bit-identical at any TRB_JOBS.
  *
  * Exit status: 0 clean (relative to --fail-on), 1 findings at or above
  * the --fail-on threshold, 2 usage error or unreadable/corrupt input
  * (one-line diagnostic on stderr, never a crash).
  */
 
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/env.hh"
 #include "convert/cvp2champsim.hh"
 #include "convert/improvements.hh"
 #include "experiments/experiment.hh"
-#include "lint/lint.hh"
+#include "flow/analyze.hh"
+#include "obs/metrics.hh"
 #include "par/thread_pool.hh"
+#include "serve/protocol.hh"
 #include "synth/suites.hh"
 #include "trace/champsim_trace.hh"
 #include "trace/cvp_trace.hh"
@@ -53,41 +64,46 @@ enum class FailOn
 
 struct CliOptions
 {
-    std::vector<std::string> traces;   //!< positional ChampSim traces
+    std::vector<std::string> inputs;   //!< positional traces or specs
     std::vector<std::string> cvps;     //!< --cvp files, paired by position
-    std::string synthSuite;            //!< "cvp1" or "ipc1" (empty: files)
-    ImprovementSet imps = kAllImps;    //!< converter config for --synth
+    std::string synthSuite;            //!< "cvp1" or "ipc1" (empty: inputs)
+    ImprovementSet imps = kAllImps;    //!< converter config for specs
+    std::uint64_t length = 50000;      //!< synthetic spec length
     lint::LintOptions lintOpts;
     FailOn failOn = FailOn::Error;
     std::string jsonPath;              //!< "-" for stdout
-    std::string docsPath = "docs/env-vars.md";   //!< --selftest table
     bool json = false;
     bool listRules = false;
-    bool selftest = false;
 };
 
 void
 usage(std::ostream &os)
 {
-    os << "usage: trace_lint [options] <trace.champsim[.gz]>...\n"
+    os << "usage: trace_lint [options] <trace.champsim[.gz] | spec>...\n"
           "       trace_lint [options] --synth cvp1|ipc1 [--imp SET]\n"
           "       trace_lint --list-rules\n"
-          "       trace_lint --selftest [--docs FILE]\n"
           "\n"
           "Statically check converted ChampSim traces against the\n"
           "invariants of a fully improved CVP-1 conversion (no simulation).\n"
+          "A spec is suite:cvp1:<name>, suite:ipc1:<name>,\n"
+          "preset:<kind>:<seed> or file:<path> (a CVP-1 trace), resolved\n"
+          "and converted before a paired check; a bare path is a ChampSim\n"
+          "trace, checked stream-only.  The whole-program rules build the\n"
+          "trace's CFG, so they run only when selected.\n"
           "\n"
           "options:\n"
           "  --cvp FILE        originating CVP-1 trace for the Nth\n"
           "                    positional trace (repeatable); enables the\n"
           "                    paired rules\n"
-          "  --synth SUITE     lint conversions of the synthetic cvp1 or\n"
-          "                    ipc1 suite instead of files\n"
-          "  --imp SET         improvement set for --synth (No_imp,\n"
+          "  --synth SUITE     check conversions of the synthetic cvp1 or\n"
+          "                    ipc1 suite instead of inputs\n"
+          "  --imp SET         improvement set for specs/--synth (No_imp,\n"
           "                    Memory_imps, Branch_imps, All_imps,\n"
           "                    IPC1_imps, imp_*; default All_imps)\n"
+          "  --length N        dynamic instructions for synthetic specs\n"
+          "                    and --synth (default 50000)\n"
           "  --enable LIST     comma-separated rule ids to run (default\n"
-          "                    all)\n"
+          "                    all, streaming and whole-program)\n"
           "  --disable LIST    comma-separated rule ids to skip\n"
           "  --max-diag N      diagnostics stored per rule (default 20)\n"
           "  --fail-on KIND    error|warn|none: lowest severity that\n"
@@ -95,11 +111,6 @@ usage(std::ostream &os)
           "  --json[=FILE]     machine-readable report to FILE (default\n"
           "                    stdout)\n"
           "  --list-rules      print the rule catalog and exit\n"
-          "  --selftest        check that every registered TRB_* env\n"
-          "                    variable is documented in the env-vars\n"
-          "                    table, then exit\n"
-          "  --docs FILE       env-vars table for --selftest (default\n"
-          "                    docs/env-vars.md)\n"
           "  -h, --help        this text\n";
 }
 
@@ -113,6 +124,13 @@ splitList(const std::string &s)
         if (!item.empty())
             out.push_back(item);
     return out;
+}
+
+bool
+isSpec(const std::string &arg)
+{
+    return arg.rfind("suite:", 0) == 0 || arg.rfind("preset:", 0) == 0 ||
+           arg.rfind("file:", 0) == 0;
 }
 
 /** Parse argv; returns false (after printing to stderr) on bad usage. */
@@ -134,13 +152,6 @@ parseArgs(int argc, char **argv, CliOptions &opts)
             std::exit(0);
         } else if (arg == "--list-rules") {
             opts.listRules = true;
-        } else if (arg == "--selftest") {
-            opts.selftest = true;
-        } else if (arg == "--docs") {
-            const char *v = value("--docs");
-            if (!v)
-                return false;
-            opts.docsPath = v;
         } else if (arg == "--cvp") {
             const char *v = value("--cvp");
             if (!v)
@@ -165,6 +176,11 @@ parseArgs(int argc, char **argv, CliOptions &opts)
                           << "'\n";
                 return false;
             }
+        } else if (arg == "--length") {
+            const char *v = value("--length");
+            if (!v)
+                return false;
+            opts.length = std::strtoull(v, nullptr, 10);
         } else if (arg == "--enable") {
             const char *v = value("--enable");
             if (!v)
@@ -212,7 +228,7 @@ parseArgs(int argc, char **argv, CliOptions &opts)
             std::cerr << "trace_lint: unknown option '" << arg << "'\n";
             return false;
         } else {
-            opts.traces.push_back(arg);
+            opts.inputs.push_back(arg);
         }
     }
 
@@ -223,54 +239,22 @@ parseArgs(int argc, char **argv, CliOptions &opts)
                   << "' (see --list-rules)\n";
         return false;
     }
-    if (opts.listRules || opts.selftest)
+    if (opts.listRules)
         return true;
-    if (!opts.synthSuite.empty() && !opts.traces.empty()) {
-        std::cerr << "trace_lint: --synth and trace files are mutually "
+    if (!opts.synthSuite.empty() && !opts.inputs.empty()) {
+        std::cerr << "trace_lint: --synth and inputs are mutually "
                      "exclusive\n";
         return false;
     }
-    if (opts.synthSuite.empty() && opts.traces.empty()) {
+    if (opts.synthSuite.empty() && opts.inputs.empty()) {
         usage(std::cerr);
         return false;
     }
-    if (opts.cvps.size() > opts.traces.size()) {
-        std::cerr << "trace_lint: more --cvp files than traces\n";
+    if (opts.cvps.size() > opts.inputs.size()) {
+        std::cerr << "trace_lint: more --cvp files than inputs\n";
         return false;
     }
     return true;
-}
-
-/**
- * Check that every variable in the trb::env registry appears in the
- * env-vars documentation table.  This is what keeps docs/env-vars.md
- * honest: adding a knob to the registry without a doc row fails CI.
- * Exit 0 all documented, 1 missing rows, 2 unreadable docs file.
- */
-int
-runSelftest(const std::string &docsPath)
-{
-    std::ifstream file(docsPath);
-    if (!file) {
-        std::cerr << "trace_lint: cannot read '" << docsPath
-                  << "' (pass --docs FILE)\n";
-        return 2;
-    }
-    std::stringstream buf;
-    buf << file.rdbuf();
-    const std::string docs = buf.str();
-
-    std::uint64_t missing = 0;
-    for (const env::VarInfo &var : env::registry()) {
-        if (docs.find(var.name) == std::string::npos) {
-            std::cerr << "trace_lint: " << var.name << " (" << var.summary
-                      << ") is not documented in " << docsPath << "\n";
-            ++missing;
-        }
-    }
-    std::cout << "selftest: " << env::registry().size()
-              << " registered env var(s), " << missing << " undocumented\n";
-    return missing == 0 ? 0 : 1;
 }
 
 void
@@ -279,58 +263,70 @@ listRules()
     for (const lint::RuleInfo &info : lint::ruleCatalog()) {
         std::cout << info.id << " [" << lint::severityName(info.severity)
                   << (info.needsCvp ? ", paired" : "")
-                  << (info.wholeProgram ? ", whole-program (trace_analyze)"
-                                        : "")
-                  << "]\n    " << info.summary << "\n    ("
-                  << info.citation << ")\n";
+                  << (info.wholeProgram ? ", whole-program" : "") << "]\n    "
+                  << info.summary << "\n    (" << info.citation << ")\n";
     }
 }
 
-/** One lint job and its index-addressed result. */
+/** One check job and its index-addressed result. */
 struct Job
 {
     std::size_t index = 0;
     std::string name;
-    std::string csPath;
-    std::string cvpPath;   //!< empty: stream-only
+    std::string input;     //!< ChampSim path or serve spec
+    std::string cvpPath;   //!< empty: stream-only (paths only)
 };
 
 int
-runFiles(const CliOptions &opts, std::vector<std::string> &names,
-         std::vector<lint::LintReport> &reports)
+runInputs(const CliOptions &opts, std::vector<std::string> &names,
+          std::vector<flow::FlowResult> &results)
 {
     std::vector<Job> jobs;
-    for (std::size_t i = 0; i < opts.traces.size(); ++i) {
+    for (std::size_t i = 0; i < opts.inputs.size(); ++i) {
         Job job;
         job.index = i;
-        job.csPath = opts.traces[i];
-        job.name = opts.traces[i];
+        job.input = opts.inputs[i];
+        job.name = opts.inputs[i];
         if (i < opts.cvps.size())
             job.cvpPath = opts.cvps[i];
         jobs.push_back(std::move(job));
     }
 
-    // Index-addressed fan-out: report i always belongs to input i, so
+    // Index-addressed fan-out: result i always belongs to input i, so
     // the output is schedule-independent.  Unreadable or corrupt inputs
     // land a Status in their slot instead of killing the process; the
     // first (in input order) is reported after the joins.
     std::vector<Status> failed(jobs.size());
-    reports = par::ThreadPool::global().parallelMap(
+    results = par::ThreadPool::global().parallelMap(
         jobs, [&](const Job &job) {
-            Expected<ChampSimTrace> cs = tryReadChampSimTrace(job.csPath);
+            if (isSpec(job.input)) {
+                serve::ServeRequest req;
+                req.trace = job.input;
+                req.length = opts.length;
+                Expected<CvpTrace> cvp = serve::resolveTrace(req);
+                if (!cvp.ok()) {
+                    failed[job.index] = cvp.status();
+                    return flow::FlowResult{};
+                }
+                Cvp2ChampSim conv(opts.imps);
+                ChampSimTrace cs = conv.convert(cvp.value());
+                return flow::analyzeConverted(cvp.value(), cs,
+                                              opts.lintOpts);
+            }
+            Expected<ChampSimTrace> cs = tryReadChampSimTrace(job.input);
             if (!cs.ok()) {
                 failed[job.index] = cs.status();
-                return lint::LintReport{};
+                return flow::FlowResult{};
             }
             if (job.cvpPath.empty())
-                return lint::lintTrace(cs.value(), opts.lintOpts);
+                return flow::analyzeTrace(cs.value(), opts.lintOpts);
             Expected<CvpTrace> cvp = tryReadCvpTrace(job.cvpPath);
             if (!cvp.ok()) {
                 failed[job.index] = cvp.status();
-                return lint::LintReport{};
+                return flow::FlowResult{};
             }
-            return lint::lintConverted(cvp.value(), cs.value(),
-                                       opts.lintOpts);
+            return flow::analyzeConverted(cvp.value(), cs.value(),
+                                          opts.lintOpts);
         });
     for (const Status &status : failed) {
         if (!status.ok()) {
@@ -345,20 +341,20 @@ runFiles(const CliOptions &opts, std::vector<std::string> &names,
 
 int
 runSynth(const CliOptions &opts, std::vector<std::string> &names,
-         std::vector<lint::LintReport> &reports)
+         std::vector<flow::FlowResult> &results)
 {
     std::vector<TraceSpec> suite = opts.synthSuite == "cvp1"
-                                       ? cvp1PublicSuite(50000)
-                                       : ipc1Suite(50000);
+                                       ? cvp1PublicSuite(opts.length)
+                                       : ipc1Suite(opts.length);
     std::size_t count = suiteCount(suite);
     names.resize(count);
-    reports.resize(count);
+    results.resize(count);
     forEachTrace(suite, [&](std::size_t i, const TraceSpec &spec,
                             const CvpTrace &cvp) {
         Cvp2ChampSim conv(opts.imps);
         ChampSimTrace cs = conv.convert(cvp);
         names[i] = spec.name;
-        reports[i] = lint::lintConverted(cvp, cs, opts.lintOpts);
+        results[i] = flow::analyzeConverted(cvp, cs, opts.lintOpts);
     });
     return 0;
 }
@@ -371,30 +367,28 @@ main(int argc, char **argv)
     CliOptions opts;
     if (!parseArgs(argc, argv, opts))
         return 2;
-    if (opts.selftest)
-        return runSelftest(opts.docsPath);
     if (opts.listRules) {
         listRules();
         return 0;
     }
 
     std::vector<std::string> names;
-    std::vector<lint::LintReport> reports;
-    int rc = opts.synthSuite.empty() ? runFiles(opts, names, reports)
-                                     : runSynth(opts, names, reports);
+    std::vector<flow::FlowResult> results;
+    int rc = opts.synthSuite.empty() ? runInputs(opts, names, results)
+                                     : runSynth(opts, names, results);
     if (rc != 0)
         return rc;
 
     std::uint64_t errors = 0;
     std::uint64_t warnings = 0;
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        errors += reports[i].errors;
-        warnings += reports[i].warnings;
-        lint::writeReportText(std::cout, reports[i], names[i]);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        errors += results[i].report.errors;
+        warnings += results[i].report.warnings;
+        flow::writeAnalysisText(std::cout, results[i], names[i]);
     }
-    if (reports.size() > 1)
+    if (results.size() > 1)
         std::cout << "total: " << errors << " error(s), " << warnings
-                  << " warning(s) across " << reports.size()
+                  << " warning(s) across " << results.size()
                   << " trace(s)\n";
 
     if (opts.json) {
@@ -410,14 +404,16 @@ main(int argc, char **argv)
             os = &file;
         }
         *os << "{\"reports\": [";
-        for (std::size_t i = 0; i < reports.size(); ++i) {
+        for (std::size_t i = 0; i < results.size(); ++i) {
             if (i)
                 *os << ", ";
-            lint::writeReportJson(*os, reports[i], names[i]);
+            flow::writeAnalysisJson(*os, results[i], names[i]);
         }
         *os << "], \"totals\": {\"errors\": " << errors
             << ", \"warnings\": " << warnings << "}}\n";
     }
+
+    obs::finish();   // honour TRB_OBS_JSON / TRB_OBS_CSV / TRB_OBS_SPANS
 
     switch (opts.failOn) {
       case FailOn::Error:
