@@ -3,7 +3,8 @@
  * Pipeline viewer: run a real simulation with the event tracer attached
  * and print a gem5-O3PipeView-style text lane view of the instruction
  * lifecycle (fetch/dispatch/issue/complete/retire stamps, squashes) for
- * a PC range, plus the metrics-registry summary of the run.
+ * a PC range.  Every SimStats counter of the run goes to the metrics
+ * registry as sim.* (see docs/observability.md).
  *
  * Usage:
  *   ./build/examples/pipeline_viewer [lo_pc hi_pc [max_instrs]]
@@ -15,6 +16,10 @@
  *   TRB_PIPE_JSON   also write a Chrome trace_event file (load in
  *                   chrome://tracing or Perfetto)
  *   TRB_OBS_JSON    dump the metrics registry as JSON
+ *   TRB_OBS_SPANS   write the span timeline's Chrome trace (pid 0)
+ *
+ * Every file is written before the first line of stdout, so piping the
+ * lane view into `head` cannot cut a file short.
  */
 
 #include <cstdio>
@@ -57,18 +62,8 @@ main(int argc, char **argv)
     core.setTracer(&tracer);
     SimStats stats = core.run(trace);
 
-    std::printf("simulated %llu instructions in %llu cycles "
-                "(IPC %.3f, branch MPKI %.2f); tracer holds the last "
-                "%zu of %llu records\n\n",
-                static_cast<unsigned long long>(stats.instructions),
-                static_cast<unsigned long long>(stats.cycles), stats.ipc(),
-                stats.branchMpki(), tracer.size(),
-                static_cast<unsigned long long>(tracer.recorded()));
-
-    std::fputs(obs::renderLaneView(tracer.events(), lo, hi, max_instrs)
-                   .c_str(),
-               stdout);
-
+    // Every file before any stdout: a reader that closes stdout early
+    // (| head) must not stop the viewer before its files are written.
     if (const char *path = env::raw("TRB_PIPE_JSON");
         path && *path) {
         std::ofstream out(path);
@@ -80,10 +75,19 @@ main(int argc, char **argv)
             trb_warn("cannot open ", path, " for the Chrome trace");
         }
     }
-
     stats.exportTo(obs::MetricsRegistry::global(), "sim");
-    core.memory().exportMetrics(obs::MetricsRegistry::global(),
-                                "sim.cache.raw");
     obs::finish();
+
+    std::printf("simulated %llu instructions in %llu cycles "
+                "(IPC %.3f, branch MPKI %.2f); tracer holds the last "
+                "%zu of %llu records\n\n",
+                static_cast<unsigned long long>(stats.instructions),
+                static_cast<unsigned long long>(stats.cycles), stats.ipc(),
+                stats.branchMpki(), tracer.size(),
+                static_cast<unsigned long long>(tracer.recorded()));
+
+    std::fputs(obs::renderLaneView(tracer.events(), lo, hi, max_instrs)
+                   .c_str(),
+               stdout);
     return 0;
 }

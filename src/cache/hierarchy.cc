@@ -163,30 +163,4 @@ MemoryHierarchy::probeL1I(Addr addr, Cycle now) const
     return slot && l1i_.fillReady[*slot] <= now;
 }
 
-void
-MemoryHierarchy::report(StatSet &stats) const
-{
-    stats.set("l1i.accesses", l1i_.accesses);
-    stats.set("l1i.misses", l1i_.misses);
-    stats.set("l1i.mshr_merges", l1i_.mshrMerges);
-    stats.set("l1d.accesses", l1d_.accesses);
-    stats.set("l1d.misses", l1d_.misses);
-    stats.set("l1d.mshr_merges", l1d_.mshrMerges);
-    stats.set("l2.accesses", l2Acc_);
-    stats.set("l2.misses", l2Miss_);
-    stats.set("llc.accesses", llcAcc_);
-    stats.set("llc.misses", llcMiss_);
-    stats.set("prefetch.issued", pfIssued_);
-}
-
-void
-MemoryHierarchy::exportMetrics(obs::MetricsRegistry &reg,
-                               const std::string &prefix) const
-{
-    StatSet stats;
-    report(stats);
-    for (const auto &[name, value] : stats.entries())
-        reg.setCounter(prefix + "." + name, value);
-}
-
 } // namespace trb

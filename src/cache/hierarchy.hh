@@ -22,9 +22,7 @@
 
 #include "cache/cache.hh"
 #include "cache/prefetcher.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
-#include "obs/metrics.hh"
 
 namespace trb
 {
@@ -95,16 +93,6 @@ class MemoryHierarchy
     /** Demand accesses that merged with an in-flight L1D fill. */
     std::uint64_t l1dMshrMerges() const { return l1d_.mshrMerges; }
     /// @}
-
-    /** Dump every counter into a StatSet. */
-    void report(StatSet &stats) const;
-
-    /**
-     * Register every hierarchy counter under @p prefix in a metrics
-     * registry ("<prefix>.l1i.accesses", "<prefix>.l1i.mshr_merges", ...).
-     */
-    void exportMetrics(obs::MetricsRegistry &reg,
-                       const std::string &prefix = "cache") const;
 
   private:
     /** An L1: its tag array, the MSHR state in it and its counters. */

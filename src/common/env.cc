@@ -29,14 +29,12 @@ registry()
         {"TRB_OBS_SAMPLE_MS", "metrics sampler heartbeat period in ms"
                               " (0/unset: off)"},
         {"TRB_OBS_SAMPLE_PATH", "sampler JSONL output file"},
-        {"TRB_OBS_SPANS", "write the merged span/pipeline Chrome trace"
-                          " here at exit"},
+        {"TRB_OBS_SPANS", "write the span timeline's Chrome trace here"
+                          " at exit"},
         {"TRB_PIPE_JSON", "write a Chrome trace of the pipeline here"},
         {"TRB_RETRIES", "attempts for transient I/O failures"},
         {"TRB_SERVE_DEADLINE_MS", "trace_client default per-request"
                                   " deadline in ms (0/unset: none)"},
-        {"TRB_SERVE_QUANTUM", "requests served per client per"
-                              " round-robin turn"},
         {"TRB_SERVE_QUEUE", "daemon queue bound; beyond it requests get"
                             " a typed busy reply"},
         {"TRB_SERVE_SOCKET", "trace_served Unix-domain socket path"},

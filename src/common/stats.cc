@@ -76,22 +76,6 @@ fmtDouble(double v, int precision)
     return os.str();
 }
 
-void
-StatSet::merge(const StatSet &other)
-{
-    for (const auto &[name, value] : other.entries_)
-        add(name, value);
-}
-
-std::string
-StatSet::report(const std::string &prefix) const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : entries_)
-        os << prefix << name << " " << value << "\n";
-    return os.str();
-}
-
 std::uint64_t
 Histogram::percentile(double p) const
 {

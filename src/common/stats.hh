@@ -1,17 +1,15 @@
 /**
  * @file
- * Small statistics toolkit: named scalar counters, ratio formatting,
- * histograms, and the aggregate helpers (geometric mean, percentiles) the
- * experiment harness uses to reproduce the paper's figures.
+ * Small statistics toolkit: ratio formatting, histograms, and the
+ * aggregate helpers (geometric mean, percentiles) the experiment
+ * harness uses to reproduce the paper's figures.
  */
 
 #ifndef TRB_COMMON_STATS_HH
 #define TRB_COMMON_STATS_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace trb
@@ -38,75 +36,6 @@ double mpki(std::uint64_t events, std::uint64_t instructions);
 
 /** Format a double with fixed precision into a string. */
 std::string fmtDouble(double v, int precision = 2);
-
-/**
- * A bag of named scalar statistics with insertion-ordered printing.
- *
- * Simulation components register counters by name; the simulator facade
- * merges component bags into one report.  Hot paths should obtain a
- * counter() reference once and increment through it, bypassing the hash
- * lookup entirely.
- */
-class StatSet
-{
-  public:
-    /**
-     * Reference to a named counter, created at 0 if absent.
-     *
-     * The reference stays valid for the lifetime of the StatSet (entries
-     * live in a deque), so components can cache it and increment per
-     * cycle without re-hashing the name.
-     */
-    std::uint64_t &
-    counter(const std::string &name)
-    {
-        auto it = index_.find(name);
-        if (it == index_.end()) {
-            it = index_.emplace(name, entries_.size()).first;
-            entries_.emplace_back(name, 0);
-        }
-        return entries_[it->second].second;
-    }
-
-    /** Add (or create) a named counter. */
-    void
-    add(const std::string &name, std::uint64_t delta = 1)
-    {
-        counter(name) += delta;
-    }
-
-    /** Set a named counter to an absolute value. */
-    void
-    set(const std::string &name, std::uint64_t value)
-    {
-        counter(name) = value;
-    }
-
-    /** Value of a counter; 0 if absent. */
-    std::uint64_t
-    get(const std::string &name) const
-    {
-        auto it = index_.find(name);
-        return it == index_.end() ? 0 : entries_[it->second].second;
-    }
-
-    /** All counters in insertion order. */
-    const std::deque<std::pair<std::string, std::uint64_t>> &
-    entries() const
-    {
-        return entries_;
-    }
-
-    /** Merge another set into this one (summing same-named counters). */
-    void merge(const StatSet &other);
-
-    /** Render as "name value" lines. */
-    std::string report(const std::string &prefix = "") const;
-
-  private:
-    std::deque<std::pair<std::string, std::uint64_t>> entries_;
-    std::unordered_map<std::string, std::size_t> index_;
-};
 
 /**
  * Fixed-bucket histogram over uint64 samples (linear buckets plus an

@@ -80,8 +80,6 @@ buildCfg(ChampSimView trace, std::uint64_t maxContiguousStep)
              std::uint32_t>
         edgeIndex;
     std::unordered_map<Addr, std::uint32_t> returnIndex;
-    std::unordered_map<Addr, Addr> lastEa;   // per memory PC, for strides
-    std::vector<std::unordered_set<Addr>> blockLines;
     std::array<StaleState, kRegSpace> stale = {};
 
     auto blockIndex = [&](Addr pc, std::uint64_t index) {
@@ -98,7 +96,6 @@ buildCfg(ChampSimView trace, std::uint64_t maxContiguousStep)
         cfg.fallExits.emplace_back();
         cfg.succs.emplace_back();
         cfg.preds.emplace_back();
-        blockLines.emplace_back();
         return idx;
     };
 
@@ -202,46 +199,8 @@ buildCfg(ChampSimView trace, std::uint64_t maxContiguousStep)
             occPcs.clear();
         }
 
-        BasicBlock &block = cfg.blocks[cur];
-        ++block.uopCount;
+        ++cfg.blocks[cur].uopCount;
         occPcs.push_back(rec.ip);
-
-        // -- memory summary --------------------------------------------
-        const bool is_load = rec.isLoad();
-        const bool is_store = rec.isStore();
-        if (is_load)
-            ++block.mem.loads;
-        if (is_store)
-            ++block.mem.stores;
-        if (is_load || is_store) {
-            Addr ea = rec.srcMem[0] != 0 ? rec.srcMem[0] : rec.destMem[0];
-            auto [it, fresh] = lastEa.try_emplace(rec.ip, ea);
-            if (!fresh) {
-                Addr prev_ea = it->second;
-                std::uint64_t delta =
-                    ea > prev_ea ? ea - prev_ea : prev_ea - ea;
-                if (delta == 0)
-                    ++block.mem.strideZero;
-                else if (delta <= kLineBytes)
-                    ++block.mem.strideUnit;
-                else if (delta <= 4096)
-                    ++block.mem.stridePage;
-                else
-                    ++block.mem.strideFar;
-                it->second = ea;
-            }
-            std::unordered_set<Addr> &lines = blockLines[cur];
-            if (!block.mem.linesSaturated) {
-                for (Addr a : rec.srcMem)
-                    if (a != 0)
-                        lines.insert(lineAddr(a));
-                for (Addr a : rec.destMem)
-                    if (a != 0)
-                        lines.insert(lineAddr(a));
-                if (lines.size() > kFootprintCap)
-                    block.mem.linesSaturated = true;
-            }
-        }
 
         // -- stale-definition tracking ---------------------------------
         // Reads first: a read of a register whose canonical producer
@@ -303,11 +262,6 @@ buildCfg(ChampSimView trace, std::uint64_t maxContiguousStep)
             ++cfg.flagsReads;
     }
     endOccurrence(trace[trace.size() - 1]);
-
-    for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-        BlockMemSummary &mem = cfg.blocks[b].mem;
-        mem.lines = blockLines[b].size();
-    }
     return cfg;
 }
 

@@ -22,9 +22,7 @@
  *  - per-block fall-through exit points, the inconsistent-fall-through
  *    evidence;
  *  - the call-site fall-through set versus observed return targets, the
- *    call/return-edge balance evidence;
- *  - per-block dynamic memory summaries (load/store mix, stride
- *    classes, cacheline footprint).
+ *    call/return-edge balance evidence.
  *
  * Blocks, edges and facts are all in stream-discovery order, so the
  * whole structure is deterministic for a given trace regardless of
@@ -64,9 +62,6 @@ const char *edgeKindName(EdgeKind kind);
 /** Register space of the canonical per-PC signatures (RegId is u8). */
 constexpr std::size_t kRegSpace = 256;
 
-/** Per-block cacheline sets saturate here (footprint stays bounded). */
-constexpr std::size_t kFootprintCap = 4096;
-
 /** Canonical signature of one static µop PC (union over occurrences). */
 struct PcSig
 {
@@ -74,19 +69,6 @@ struct PcSig
     std::bitset<kRegSpace> srcs;
     bool isBranch = false;
     std::uint64_t occurrences = 0;
-};
-
-/** Dynamic memory behaviour of one block, accumulated over the run. */
-struct BlockMemSummary
-{
-    std::uint64_t loads = 0;        //!< µops with a memory source
-    std::uint64_t stores = 0;       //!< µops with a memory destination
-    std::uint64_t strideZero = 0;   //!< same address as last visit of pc
-    std::uint64_t strideUnit = 0;   //!< |delta| <= 64 (next line/element)
-    std::uint64_t stridePage = 0;   //!< |delta| <= 4096 (strided)
-    std::uint64_t strideFar = 0;    //!< larger jumps (irregular)
-    std::uint64_t lines = 0;        //!< distinct cachelines touched
-    bool linesSaturated = false;    //!< true: capped at kFootprintCap
 };
 
 /** One reconstructed basic block. */
@@ -105,8 +87,6 @@ struct BasicBlock
 
     std::uint64_t entries = 0;           //!< occurrences entered mid-stream
     std::uint64_t explainedEntries = 0;  //!< entries through an edge
-
-    BlockMemSummary mem;
 };
 
 /** One CFG edge with its dynamic traversal count. */

@@ -39,20 +39,6 @@ MetricsRegistry::gaugeLocked(const std::string &path)
     return gauges_[it->second].value;
 }
 
-std::uint64_t &
-MetricsRegistry::counter(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counterLocked(path);
-}
-
-double &
-MetricsRegistry::gauge(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return gaugeLocked(path);
-}
-
 Histogram &
 MetricsRegistry::histogram(const std::string &path,
                            std::uint64_t bucket_width,
@@ -327,7 +313,7 @@ dumpIfRequested()
     bool wrote = writeFile("TRB_OBS_JSON", reg.toJson(), "JSON");
     wrote |= writeFile("TRB_OBS_CSV", reg.toCsv(), "CSV");
 
-    // The merged span/pipeline timeline, if spans were collected.
+    // The span timeline, if spans were collected.
     const char *spans_path = trb::env::raw("TRB_OBS_SPANS");
     if (spans_path && *spans_path) {
         std::ofstream out(spans_path);

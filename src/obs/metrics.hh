@@ -7,19 +7,15 @@
  *
  * Paths are dotted strings; the registry keeps insertion order so the
  * exported files read top-down the way components registered them.
- * Counter and gauge accessors return references that stay valid for the
- * registry's lifetime, so hot paths look a metric up once and increment
- * through the reference.
  *
- * Thread safety: registration (counter()/gauge()/histogram() lookup or
- * creation) and the whole-value mutators (setCounter()/setGauge()/
- * addCounter()) are safe to call concurrently; exports take a consistent
- * snapshot under the same lock, so a late worker can never race the
- * at-exit dump.  Mutating *through a cached reference* is lock-free and
- * therefore only safe while a single thread owns that path -- parallel
- * harness code routes hot updates through a ThreadMetricsBuffer (one
- * buffer per task, flushed at task end) instead; micro_components
- * benchmarks it against the locked registry.
+ * Thread safety: counters and gauges are written only under the
+ * registry lock (setCounter()/setGauge()/addCounter()), and reads and
+ * exports take a consistent snapshot under the same lock, so a late
+ * worker can never race the at-exit dump.  Contended writers route hot
+ * updates through a ThreadMetricsBuffer (one buffer per task, flushed
+ * at task end); micro_components benchmarks it against the locked
+ * registry.  histogram() is the one reference accessor: samples through
+ * it are unsynchronised, so a histogram path has a single writer.
  *
  * TRB_OBS_JSON=<path> / TRB_OBS_CSV=<path> make obs::finish() (called by
  * the bench mains) write the global registry out at process end.
@@ -85,19 +81,10 @@ class MetricsRegistry
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
 
     /**
-     * Reference to the counter at @p path, created at 0 if absent.
-     * Registration is thread-safe and the reference stays valid for the
-     * registry's lifetime; increments through the reference are
-     * unsynchronised (single-writer paths only).
-     */
-    std::uint64_t &counter(const std::string &path);
-
-    /** Reference to the gauge at @p path, created at 0.0 if absent. */
-    double &gauge(const std::string &path);
-
-    /**
      * Reference to the histogram at @p path; created with the given
      * shape if absent (the shape of an existing histogram wins).
+     * Registration is locked and the reference stays valid for the
+     * registry's lifetime; samples through it are not (one writer).
      */
     Histogram &histogram(const std::string &path,
                          std::uint64_t bucket_width = 1,
@@ -115,19 +102,6 @@ class MetricsRegistry
 
     /** Value of a gauge; 0.0 if absent (does not create). */
     double gaugeValue(const std::string &path) const;
-
-    /**
-     * Direct views of the entries, in insertion order.  Not
-     * synchronised against writers: only use once concurrent updates
-     * have quiesced (tests, post-join reporting); use snapshot()
-     * otherwise.
-     */
-    const std::deque<CounterEntry> &counters() const { return counters_; }
-    const std::deque<GaugeEntry> &gauges() const { return gauges_; }
-    const std::deque<HistogramEntry> &histograms() const
-    {
-        return histograms_;
-    }
 
     bool empty() const;
 
@@ -216,7 +190,7 @@ std::string jsonQuote(const std::string &s);
 /**
  * Export the phase table into the global registry, log the phase
  * report (at info level) and honour TRB_OBS_JSON / TRB_OBS_CSV /
- * TRB_OBS_SPANS (the merged Chrome trace).  Every bench main calls this
+ * TRB_OBS_SPANS (the span Chrome trace).  Every bench main calls this
  * before exiting; calling it again is a no-op -- the exports happen
  * exactly once per process, so layered teardown paths (a bench's own
  * finish plus a library destructor, say) cannot double-export phases or

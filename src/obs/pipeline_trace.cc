@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <mutex>
 #include <ostream>
 #include <sstream>
-#include <utility>
 
 #include "common/env.hh"
-#include "par/thread_pool.hh"
 
 namespace trb
 {
@@ -35,79 +32,6 @@ std::size_t
 PipelineTracer::capacityFromEnv(std::size_t def)
 {
     return std::max<std::uint64_t>(env::u64("TRB_TRACE_BUF", def), 1);
-}
-
-namespace
-{
-
-/**
- * Registry of live per-thread rings, so the span timeline can render
- * every worker's lane.  Entries register on a thread's first
- * thisThread() call (recording the pool worker id active at that
- * moment) and unregister when the thread exits.
- */
-struct TracerRegistry
-{
-    std::mutex mutex;
-    std::vector<std::pair<std::size_t, PipelineTracer *>> tracers;
-
-    static TracerRegistry &
-    instance()
-    {
-        // Intentionally leaked: worker threads unregister from their
-        // thread_local destructors while the process-wide ThreadPool
-        // joins them during static destruction, which can run after
-        // a function-local static registry would have been destroyed.
-        // The pointer stays reachable, so leak checkers are quiet.
-        static TracerRegistry *reg = new TracerRegistry;
-        return *reg;
-    }
-};
-
-/** Thread-local holder tying registration to thread lifetime. */
-struct RegisteredTracer
-{
-    PipelineTracer tracer;
-
-    RegisteredTracer()
-    {
-        TracerRegistry &reg = TracerRegistry::instance();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        reg.tracers.emplace_back(par::workerId(), &tracer);
-    }
-
-    ~RegisteredTracer()
-    {
-        TracerRegistry &reg = TracerRegistry::instance();
-        std::lock_guard<std::mutex> lock(reg.mutex);
-        for (auto it = reg.tracers.begin(); it != reg.tracers.end(); ++it) {
-            if (it->second == &tracer) {
-                reg.tracers.erase(it);
-                break;
-            }
-        }
-    }
-};
-
-} // namespace
-
-PipelineTracer &
-PipelineTracer::thisThread()
-{
-    thread_local RegisteredTracer holder;
-    return holder.tracer;
-}
-
-std::vector<std::pair<std::size_t, std::vector<InstrEvent>>>
-PipelineTracer::collectAllThreads()
-{
-    TracerRegistry &reg = TracerRegistry::instance();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    std::vector<std::pair<std::size_t, std::vector<InstrEvent>>> out;
-    out.reserve(reg.tracers.size());
-    for (const auto &[worker, tracer] : reg.tracers)
-        out.emplace_back(worker, tracer->events());
-    return out;
 }
 
 void

@@ -79,28 +79,6 @@ class PipelineTracer
 
     std::size_t capacity() const { return ring_.size(); }
 
-    /**
-     * The calling thread's own ring (created on first use, capacity
-     * from TRB_TRACE_BUF).  Parallel harness code attaches this to its
-     * core so concurrent simulations never share a buffer: each worker
-     * records into its private ring, and a task that wants the events
-     * clears the ring before the run and collects events() after it --
-     * the ring outlives tasks, not threads.
-     */
-    static PipelineTracer &thisThread();
-
-    /**
-     * The held events of every live thread's thisThread() ring, keyed
-     * by the pool worker id the ring was first used on.  Only rings
-     * still alive are visited (pool workers live until process end, so
-     * in practice that is all of them); the span timeline merges these
-     * into its Chrome trace as per-worker instruction lanes.  Callers
-     * must not race this against concurrent record() on other threads
-     * -- obs::finish() runs post-join, which is the intended site.
-     */
-    static std::vector<std::pair<std::size_t, std::vector<InstrEvent>>>
-    collectAllThreads();
-
     /** Total records ever pushed (>= size() once wrapped). */
     std::uint64_t recorded() const { return recorded_; }
 

@@ -7,7 +7,6 @@
 
 #include "common/env.hh"
 #include "obs/metrics.hh"
-#include "obs/pipeline_trace.hh"
 #include "obs/profile.hh"
 #include "par/thread_pool.hh"
 
@@ -89,82 +88,25 @@ SpanTimeline::clear()
     spans_.clear();
 }
 
-namespace
-{
-
 void
-writeProcessName(std::ostream &os, const char *&sep, unsigned long long pid,
-                 const std::string &name)
-{
-    os << sep << "\n  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-       << pid << ", \"tid\": 0, \"args\": {\"name\": "
-       << jsonQuote(name) << "}}";
-    sep = ",";
-}
-
-void
-writeInstrSlice(std::ostream &os, const char *&sep, const char *name,
-                unsigned long long pid, const InstrEvent &ev,
-                std::uint64_t begin, std::uint64_t end)
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n  {\"name\": \"%s\", \"ph\": \"X\", \"ts\": %llu, "
-                  "\"dur\": %llu, \"pid\": %llu, \"tid\": %llu, "
-                  "\"args\": {\"seq\": %llu, \"ip\": \"0x%llx\"}}",
-                  sep, name, static_cast<unsigned long long>(begin),
-                  static_cast<unsigned long long>(
-                      end > begin ? end - begin : 1),
-                  pid, static_cast<unsigned long long>(ev.seq % 64),
-                  static_cast<unsigned long long>(ev.seq),
-                  static_cast<unsigned long long>(ev.ip));
-    os << buf;
-    sep = ",";
-}
-
-} // namespace
-
-void
-SpanTimeline::writeChromeTrace(std::ostream &os, bool merge_pipeline) const
+SpanTimeline::writeChromeTrace(std::ostream &os) const
 {
     const std::vector<SpanEvent> spans = snapshot();
-    os << "{\"traceEvents\": [";
-    const char *sep = "";
-    writeProcessName(os, sep, 0, "trb spans (wall-clock us, tid = worker)");
+    os << "{\"traceEvents\": [\n  {\"name\": \"process_name\", \"ph\": "
+          "\"M\", \"pid\": 0, \"tid\": 0, \"args\": {\"name\": "
+          "\"trb spans (wall-clock us, tid = worker)\"}}";
     for (const SpanEvent &s : spans) {
         char buf[160];
         std::snprintf(buf, sizeof(buf),
-                      "%s\n  {\"name\": %s, \"ph\": \"X\", \"ts\": %.3f, "
+                      ",\n  {\"name\": %s, \"ph\": \"X\", \"ts\": %.3f, "
                       "\"dur\": %.3f, \"pid\": 0, \"tid\": %u, ",
-                      sep, jsonQuote(s.name).c_str(), s.startUs,
+                      jsonQuote(s.name).c_str(), s.startUs,
                       s.durUs > 0.0 ? s.durUs : 0.001, s.worker);
         os << buf << "\"cat\": " << jsonQuote(s.phase)
            << ", \"args\": {\"depth\": " << s.depth;
         if (s.items)
             os << ", \"items\": " << s.items;
         os << "}}";
-        sep = ",";
-    }
-    if (merge_pipeline) {
-        for (const auto &[worker, events] :
-             PipelineTracer::collectAllThreads()) {
-            if (events.empty())
-                continue;
-            const unsigned long long pid = 1 + worker;
-            writeProcessName(os, sep, pid,
-                             "pipeline worker " + std::to_string(worker) +
-                                 " (cycles)");
-            for (const InstrEvent &ev : events) {
-                writeInstrSlice(os, sep, "frontend", pid, ev, ev.fetch,
-                                ev.dispatch);
-                writeInstrSlice(os, sep, "wait", pid, ev, ev.dispatch,
-                                ev.issue);
-                writeInstrSlice(os, sep, "execute", pid, ev, ev.issue,
-                                ev.complete);
-                writeInstrSlice(os, sep, "commit", pid, ev, ev.complete,
-                                ev.retire);
-            }
-        }
     }
     os << "\n]}\n";
 }

@@ -4,8 +4,7 @@
  * trace, generate, convert, simulate, ... -- is an obs::SpanScope.  On
  * close it folds into the phase table (PhaseProfile::global(), always)
  * and, when TRB_OBS_SPANS is set, into a timeline that obs::finish()
- * merges with the per-thread PipelineTracer rings into a single Chrome
- * trace_event file with one lane per pool worker.
+ * writes as a Chrome trace_event file with one lane per pool worker.
  *
  * Each span links to the innermost live span on its own thread, so it
  * knows its depth and its *self* time: its duration minus that of its
@@ -19,10 +18,10 @@
  * "trace" row and a "trace.srv_0" slice in the Chrome file, so a
  * long-running daemon keeps a bounded table.
  *
- * The two clock domains of the Chrome file are kept apart by pid:
- * pid 0 carries the wall-clock spans (microseconds since process start,
- * tid = worker id), pid 1+w carries worker w's instruction ring on its
- * cycle axis.
+ * Every slice is on pid 0, on the wall-clock axis (microseconds since
+ * process start, tid = worker id).  Per-instruction pipeline slices,
+ * on their cycle axis, are PipelineTracer::writeChromeTrace's file
+ * (TRB_PIPE_JSON), not this one.
  *
  * Cost: two steady_clock reads and one short table lock per span.
  * Spans are coarse -- one per bench, sweep, trace or whole stage call,
@@ -88,13 +87,10 @@ class SpanTimeline
     void clear();
 
     /**
-     * Write the merged Chrome trace: the held spans as "X" slices on
-     * pid 0 (tid = worker lane), plus -- when @p merge_pipeline -- each
-     * live thread's PipelineTracer ring as instruction slices on
-     * pid 1+worker, and process_name metadata labelling every pid.
+     * Write the Chrome trace: a process_name record, then the held
+     * spans as "X" slices on pid 0 (tid = worker lane).
      */
-    void writeChromeTrace(std::ostream &os,
-                          bool merge_pipeline = true) const;
+    void writeChromeTrace(std::ostream &os) const;
 
     /** The process-wide timeline obs::finish() dumps. */
     static SpanTimeline &global();

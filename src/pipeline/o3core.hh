@@ -94,9 +94,6 @@ class O3Core
     /** Instructions between cancellation polls (a power of two). */
     static constexpr std::size_t kCancelPollInterval = 4096;
 
-    /** The memory hierarchy (for metrics export and inspection). */
-    const MemoryHierarchy &memory() const { return mem_; }
-
   private:
     /** Port the instruction prefetcher issues fills through. */
     class Port : public PrefetchPort

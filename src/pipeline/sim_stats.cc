@@ -3,60 +3,72 @@
 namespace trb
 {
 
-StatSet
-SimStats::toStatSet() const
+namespace
 {
-    StatSet s;
-    s.set("instructions", instructions);
-    s.set("cycles", cycles);
-    s.set("branches", branches);
-    s.set("branches.taken", takenBranches);
-    s.set("branches.mispredicts", branchMispredicts);
-    s.set("branches.direction_mispredicts", directionMispredicts);
-    s.set("branches.target_mispredicts", targetMispredicts);
-    for (int t = 1; t < 7; ++t) {
-        std::string base =
-            std::string("branch.") + branchTypeName(static_cast<BranchType>(t));
-        s.set(base + ".count", typeCount[t]);
-        s.set(base + ".mispredicts", typeMispredicts[t]);
-        s.set(base + ".target_mispredicts", typeTargetMispredicts[t]);
+
+/** Metric names of one branch type's three counters. */
+#define TRB_BRANCH_TYPE_NAMES(type)                                       \
+    {"branch." type ".count", "branch." type ".mispredicts",              \
+     "branch." type ".target_mispredicts"}
+
+/** Per-BranchType metric names, in enum order (see branchTypeName). */
+constexpr const char *kBranchTypeNames[7][3] = {
+    TRB_BRANCH_TYPE_NAMES("not-branch"),
+    TRB_BRANCH_TYPE_NAMES("direct-jump"),
+    TRB_BRANCH_TYPE_NAMES("indirect-jump"),
+    TRB_BRANCH_TYPE_NAMES("conditional"),
+    TRB_BRANCH_TYPE_NAMES("direct-call"),
+    TRB_BRANCH_TYPE_NAMES("indirect-call"),
+    TRB_BRANCH_TYPE_NAMES("return"),
+};
+
+#undef TRB_BRANCH_TYPE_NAMES
+
+/**
+ * The one list of SimStats counters: apply @p fn(name, field) to every
+ * counter of @p stats, in the toBits() order.  toBits()/fromBits(),
+ * operator- and exportTo() all walk this list, so a counter added here
+ * is serialised, subtracted and exported, and one left out is none of
+ * them.  Names are static metric paths (no string building).
+ */
+template <typename Stats, typename Fn>
+void
+forEachStatField(Stats &stats, Fn &&fn)
+{
+    fn("instructions", stats.instructions);
+    fn("cycles", stats.cycles);
+    fn("branch.count", stats.branches);
+    fn("branch.taken", stats.takenBranches);
+    fn("branch.mispredicts", stats.branchMispredicts);
+    fn("branch.direction_mispredicts", stats.directionMispredicts);
+    fn("branch.target_mispredicts", stats.targetMispredicts);
+    for (int t = 0; t < 7; ++t) {
+        fn(kBranchTypeNames[t][0], stats.typeCount[t]);
+        fn(kBranchTypeNames[t][1], stats.typeMispredicts[t]);
+        fn(kBranchTypeNames[t][2], stats.typeTargetMispredicts[t]);
     }
-    s.set("l1i.accesses", l1iAccesses);
-    s.set("l1i.misses", l1iMisses);
-    s.set("l1i.mshr_merges", l1iMshrMerges);
-    s.set("l1d.accesses", l1dAccesses);
-    s.set("l1d.misses", l1dMisses);
-    s.set("l1d.mshr_merges", l1dMshrMerges);
-    s.set("l2.accesses", l2Accesses);
-    s.set("l2.misses", l2Misses);
-    s.set("llc.accesses", llcAccesses);
-    s.set("llc.misses", llcMisses);
-    s.set("prefetch.issued", prefetchesIssued);
-    s.set("rob.full_stalls", robFullStalls);
-    return s;
+    fn("cache.l1i.accesses", stats.l1iAccesses);
+    fn("cache.l1i.misses", stats.l1iMisses);
+    fn("cache.l1i.mshr_merges", stats.l1iMshrMerges);
+    fn("cache.l1d.accesses", stats.l1dAccesses);
+    fn("cache.l1d.misses", stats.l1dMisses);
+    fn("cache.l1d.mshr_merges", stats.l1dMshrMerges);
+    fn("cache.l2.accesses", stats.l2Accesses);
+    fn("cache.l2.misses", stats.l2Misses);
+    fn("cache.llc.accesses", stats.llcAccesses);
+    fn("cache.llc.misses", stats.llcMisses);
+    fn("cache.prefetch.issued", stats.prefetchesIssued);
+    fn("core.rob.full_stalls", stats.robFullStalls);
 }
+
+} // namespace
 
 void
 SimStats::exportTo(obs::MetricsRegistry &reg, const std::string &prefix) const
 {
-    reg.setCounter(prefix + ".instructions", instructions);
-    reg.setCounter(prefix + ".cycles", cycles);
-    reg.setCounter(prefix + ".core.rob.full_stalls", robFullStalls);
-    reg.setCounter(prefix + ".branch.mispredicts", branchMispredicts);
-    reg.setCounter(prefix + ".branch.direction_mispredicts",
-                   directionMispredicts);
-    reg.setCounter(prefix + ".branch.target_mispredicts", targetMispredicts);
-    reg.setCounter(prefix + ".cache.l1i.accesses", l1iAccesses);
-    reg.setCounter(prefix + ".cache.l1i.misses", l1iMisses);
-    reg.setCounter(prefix + ".cache.l1i.mshr_merges", l1iMshrMerges);
-    reg.setCounter(prefix + ".cache.l1d.accesses", l1dAccesses);
-    reg.setCounter(prefix + ".cache.l1d.misses", l1dMisses);
-    reg.setCounter(prefix + ".cache.l1d.mshr_merges", l1dMshrMerges);
-    reg.setCounter(prefix + ".cache.l2.accesses", l2Accesses);
-    reg.setCounter(prefix + ".cache.l2.misses", l2Misses);
-    reg.setCounter(prefix + ".cache.llc.accesses", llcAccesses);
-    reg.setCounter(prefix + ".cache.llc.misses", llcMisses);
-    reg.setCounter(prefix + ".cache.prefetch.issued", prefetchesIssued);
+    forEachStatField(*this, [&](const char *name, std::uint64_t v) {
+        reg.setCounter(prefix + "." + name, v);
+    });
     reg.setGauge(prefix + ".ipc", ipc());
     reg.setGauge(prefix + ".branch.mpki", branchMpki());
     reg.setGauge(prefix + ".cache.l1i.mpki", l1iMpki());
@@ -68,79 +80,22 @@ SimStats::exportTo(obs::MetricsRegistry &reg, const std::string &prefix) const
 SimStats
 SimStats::operator-(const SimStats &base) const
 {
+    const std::vector<std::uint64_t> sub = base.toBits();
     SimStats d = *this;
-    d.instructions -= base.instructions;
-    d.cycles -= base.cycles;
-    d.branches -= base.branches;
-    d.takenBranches -= base.takenBranches;
-    d.branchMispredicts -= base.branchMispredicts;
-    d.directionMispredicts -= base.directionMispredicts;
-    d.targetMispredicts -= base.targetMispredicts;
-    for (int t = 0; t < 7; ++t) {
-        d.typeCount[t] -= base.typeCount[t];
-        d.typeMispredicts[t] -= base.typeMispredicts[t];
-        d.typeTargetMispredicts[t] -= base.typeTargetMispredicts[t];
-    }
-    d.l1iAccesses -= base.l1iAccesses;
-    d.l1iMisses -= base.l1iMisses;
-    d.l1iMshrMerges -= base.l1iMshrMerges;
-    d.l1dAccesses -= base.l1dAccesses;
-    d.l1dMisses -= base.l1dMisses;
-    d.l1dMshrMerges -= base.l1dMshrMerges;
-    d.l2Accesses -= base.l2Accesses;
-    d.l2Misses -= base.l2Misses;
-    d.llcAccesses -= base.llcAccesses;
-    d.llcMisses -= base.llcMisses;
-    d.prefetchesIssued -= base.prefetchesIssued;
-    d.robFullStalls -= base.robFullStalls;
+    std::size_t i = 0;
+    forEachStatField(d, [&](const char *, std::uint64_t &v) {
+        v -= sub[i++];
+    });
     return d;
 }
-
-namespace
-{
-
-/**
- * Apply @p fn to every counter of @p stats, in a single fixed order
- * shared by toBits() and fromBits() so the two cannot drift apart.
- */
-template <typename Stats, typename Fn>
-void
-forEachStatField(Stats &stats, Fn &&fn)
-{
-    fn(stats.instructions);
-    fn(stats.cycles);
-    fn(stats.branches);
-    fn(stats.takenBranches);
-    fn(stats.branchMispredicts);
-    fn(stats.directionMispredicts);
-    fn(stats.targetMispredicts);
-    for (int t = 0; t < 7; ++t) {
-        fn(stats.typeCount[t]);
-        fn(stats.typeMispredicts[t]);
-        fn(stats.typeTargetMispredicts[t]);
-    }
-    fn(stats.l1iAccesses);
-    fn(stats.l1iMisses);
-    fn(stats.l1iMshrMerges);
-    fn(stats.l1dAccesses);
-    fn(stats.l1dMisses);
-    fn(stats.l1dMshrMerges);
-    fn(stats.l2Accesses);
-    fn(stats.l2Misses);
-    fn(stats.llcAccesses);
-    fn(stats.llcMisses);
-    fn(stats.prefetchesIssued);
-    fn(stats.robFullStalls);
-}
-
-} // namespace
 
 std::vector<std::uint64_t>
 SimStats::toBits() const
 {
     std::vector<std::uint64_t> bits;
-    forEachStatField(*this,
-                     [&](std::uint64_t v) { bits.push_back(v); });
+    forEachStatField(*this, [&](const char *, std::uint64_t v) {
+        bits.push_back(v);
+    });
     return bits;
 }
 
@@ -148,11 +103,13 @@ bool
 SimStats::fromBits(const std::vector<std::uint64_t> &bits, SimStats &out)
 {
     std::size_t expected = 0;
-    forEachStatField(out, [&](std::uint64_t &) { ++expected; });
+    forEachStatField(out, [&](const char *, std::uint64_t &) { ++expected; });
     if (bits.size() != expected)
         return false;
     std::size_t i = 0;
-    forEachStatField(out, [&](std::uint64_t &v) { v = bits[i++]; });
+    forEachStatField(out, [&](const char *, std::uint64_t &v) {
+        v = bits[i++];
+    });
     return true;
 }
 

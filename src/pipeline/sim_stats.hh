@@ -78,13 +78,11 @@ struct SimStats
     double l2Mpki() const { return mpki(l2Misses, instructions); }
     double llcMpki() const { return mpki(llcMisses, instructions); }
 
-    /** All counters as a StatSet (for reports). */
-    StatSet toStatSet() const;
-
     /**
      * Register every counter (and the derived IPC/MPKI gauges) under
      * @p prefix in a metrics registry, e.g. "<prefix>.core.rob.full_stalls",
-     * "<prefix>.cache.l1i.mshr_merges", "<prefix>.ipc".
+     * "<prefix>.branch.return.target_mispredicts", "<prefix>.ipc".  The
+     * counters are exactly the toBits() fields, in that order.
      */
     void exportTo(obs::MetricsRegistry &reg,
                   const std::string &prefix) const;

@@ -496,8 +496,7 @@ simReplyJson(const std::string &id, const SimResult &result,
 
 std::string
 statsReplyJson(const std::string &id, double uptimeSeconds,
-               std::size_t jobs, std::size_t queueBound,
-               std::size_t quantum)
+               std::size_t jobs, std::size_t queueBound)
 {
     auto servedPath = [](const std::string &path) {
         return path.rfind("serve.", 0) == 0 ||
@@ -515,7 +514,6 @@ statsReplyJson(const std::string &id, double uptimeSeconds,
     s += ", \"uptime_s\": " + jsonNumber(uptimeSeconds);
     s += ", \"jobs\": " + std::to_string(jobs);
     s += ", \"queue_bound\": " + std::to_string(queueBound);
-    s += ", \"quantum\": " + std::to_string(quantum);
     s += ", \"counters\": {";
     bool first = true;
     for (const auto &entry : snap.counters) {

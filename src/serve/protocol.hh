@@ -228,8 +228,7 @@ std::string simReplyJson(const std::string &id, const SimResult &result,
  * configuration.
  */
 std::string statsReplyJson(const std::string &id, double uptimeSeconds,
-                           std::size_t jobs, std::size_t queueBound,
-                           std::size_t quantum);
+                           std::size_t jobs, std::size_t queueBound);
 /** @} */
 
 } // namespace serve

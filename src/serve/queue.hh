@@ -4,9 +4,8 @@
  * admission control.
  *
  * Each client gets its own lane; pop() visits lanes in rotation, taking
- * up to @c quantum items from one lane before moving on, so a greedy
- * client that floods hundreds of requests cannot starve a client that
- * submits one.  The bound is global (summed over lanes): a push beyond
+ * one item from a lane before moving on, so a greedy client that floods
+ * hundreds of requests cannot starve a client that submits one.  The bound is global (summed over lanes): a push beyond
  * it fails, and the caller turns that into the typed `busy` reply --
  * backpressure travels to the submitter instead of growing an unbounded
  * heap of parsed requests.
@@ -31,18 +30,13 @@ namespace trb
 namespace serve
 {
 
-/** Bounded per-client-lane queue with round-robin, quantum-based pop. */
+/** Bounded per-client-lane queue with round-robin pop. */
 template <typename T>
 class FairQueue
 {
   public:
-    /**
-     * @param bound   max items across all lanes; pushes beyond it fail
-     * @param quantum items taken from one lane before rotating (>= 1)
-     */
-    explicit FairQueue(std::size_t bound, std::size_t quantum = 1)
-        : bound_(bound), quantum_(quantum == 0 ? 1 : quantum)
-    {}
+    /** @param bound max items across all lanes; pushes beyond it fail */
+    explicit FairQueue(std::size_t bound) : bound_(bound) {}
 
     /**
      * Enqueue @p item on @p client's lane.  False when the global bound
@@ -96,8 +90,7 @@ class FairQueue
             cursor_ = lanes_.erase(cursor_);
             if (cursor_ == lanes_.end())
                 cursor_ = lanes_.begin();
-            taken_ = 0;
-        } else if (++taken_ >= quantum_) {
+        } else {
             advance();
         }
         return true;
@@ -120,7 +113,6 @@ class FairQueue
     }
 
     std::size_t bound() const { return bound_; }
-    std::size_t quantum() const { return quantum_; }
 
   private:
     struct Lane
@@ -129,22 +121,19 @@ class FairQueue
         std::deque<T> items;
     };
 
-    /** Rotate the cursor one lane forward (wrapping), reset quantum. */
+    /** Rotate the cursor one lane forward (wrapping). */
     void
     advance()
     {
         if (++cursor_ == lanes_.end())
             cursor_ = lanes_.begin();
-        taken_ = 0;
     }
 
     const std::size_t bound_;
-    const std::size_t quantum_;
 
     mutable std::mutex mutex_;
     std::list<Lane> lanes_;
     typename std::list<Lane>::iterator cursor_ = lanes_.end();
-    std::size_t taken_ = 0;    //!< items taken from the cursor lane
     std::size_t size_ = 0;     //!< total queued items
 };
 

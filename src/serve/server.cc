@@ -44,22 +44,18 @@ ServeConfig::fromEnv()
     cfg.socketPath = env::str("TRB_SERVE_SOCKET", cfg.socketPath);
     cfg.queueBound = static_cast<std::size_t>(
         env::u64("TRB_SERVE_QUEUE", cfg.queueBound));
-    cfg.quantum = static_cast<std::size_t>(
-        env::u64("TRB_SERVE_QUANTUM", cfg.quantum));
     cfg.watchdogMs = env::u64("TRB_SERVE_WATCHDOG_MS", cfg.watchdogMs);
     cfg.writeTimeoutMs = env::u64("TRB_SERVE_WRITE_MS",
                                   cfg.writeTimeoutMs);
     if (cfg.queueBound == 0)
         trb_fatal("TRB_SERVE_QUEUE must be at least 1");
-    if (cfg.quantum == 0)
-        trb_fatal("TRB_SERVE_QUANTUM must be at least 1");
     return cfg;
 }
 
 ServeDaemon::ServeDaemon(ServeConfig cfg, par::ThreadPool *pool)
     : cfg_(std::move(cfg)),
       pool_(pool ? pool : &par::ThreadPool::global()),
-      queue_(cfg_.queueBound, cfg_.quantum)
+      queue_(cfg_.queueBound)
 {
     maxInflight_ =
         cfg_.maxInflight ? cfg_.maxInflight : pool_->jobs();
@@ -136,8 +132,7 @@ ServeDaemon::start()
         watchdogThread_ = std::thread([this] { watchdogLoop(); });
     trb_inform("trace_served listening on ", cfg_.socketPath,
                " (jobs ", pool_->jobs(), ", queue ", cfg_.queueBound,
-               ", quantum ", cfg_.quantum, ", watchdog ",
-               cfg_.watchdogMs, " ms)");
+               ", watchdog ", cfg_.watchdogMs, " ms)");
     return Status{};
 }
 
@@ -331,8 +326,7 @@ ServeDaemon::readerLoop(Conn *conn)
           case Op::Stats:
             sendReply(conn, statsReplyJson(req.id, uptimeSeconds(),
                                            pool_->jobs(),
-                                           cfg_.queueBound,
-                                           cfg_.quantum));
+                                           cfg_.queueBound));
             break;
           case Op::Sim: {
             // The request moves into the queue before push() decides

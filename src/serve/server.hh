@@ -80,9 +80,6 @@ struct ServeConfig
     /** Queued-but-undispatched sim requests beyond which push -> busy. */
     std::size_t queueBound = 64;
 
-    /** Requests served per client per round-robin turn. */
-    std::size_t quantum = 1;
-
     /** Concurrently dispatched sims; 0 means the pool's job count. */
     std::size_t maxInflight = 0;
 
@@ -99,8 +96,8 @@ struct ServeConfig
     Status validate() const;
 
     /**
-     * TRB_SERVE_SOCKET / TRB_SERVE_QUEUE / TRB_SERVE_QUANTUM /
-     * TRB_SERVE_WATCHDOG_MS / TRB_SERVE_WRITE_MS.
+     * TRB_SERVE_SOCKET / TRB_SERVE_QUEUE / TRB_SERVE_WATCHDOG_MS /
+     * TRB_SERVE_WRITE_MS.
      */
     static ServeConfig fromEnv();
 };

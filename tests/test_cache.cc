@@ -532,12 +532,15 @@ TEST(Hierarchy, ReportContainsAllCounters)
 {
     MemoryHierarchy mh(smallHierarchy());
     mh.access(AccessKind::Load, 0x1000, 0x400000, 0);
-    StatSet stats;
-    mh.report(stats);
-    EXPECT_EQ(stats.get("l1d.accesses"), 1u);
-    EXPECT_EQ(stats.get("l1d.misses"), 1u);
-    EXPECT_EQ(stats.get("l2.misses"), 1u);
-    EXPECT_EQ(stats.get("llc.misses"), 1u);
+    // One cold demand load misses every level once; the L1I is idle.
+    EXPECT_EQ(mh.l1iAccesses(), 0u);
+    EXPECT_EQ(mh.l1iMisses(), 0u);
+    EXPECT_EQ(mh.l1dAccesses(), 1u);
+    EXPECT_EQ(mh.l1dMisses(), 1u);
+    EXPECT_EQ(mh.l2Accesses(), 1u);
+    EXPECT_EQ(mh.l2Misses(), 1u);
+    EXPECT_EQ(mh.llcAccesses(), 1u);
+    EXPECT_EQ(mh.llcMisses(), 1u);
 }
 
 TEST(IpStride, DetectsStrideAfterConfidence)

@@ -164,42 +164,6 @@ TEST(Stats, Mpki)
     EXPECT_DOUBLE_EQ(mpki(0, 123456), 0.0);
 }
 
-TEST(Stats, StatSetAccumulatesAndMerges)
-{
-    StatSet a;
-    a.add("x");
-    a.add("x", 4);
-    a.set("y", 10);
-    EXPECT_EQ(a.get("x"), 5u);
-    EXPECT_EQ(a.get("y"), 10u);
-    EXPECT_EQ(a.get("absent"), 0u);
-
-    StatSet b;
-    b.add("x", 2);
-    b.add("z", 7);
-    a.merge(b);
-    EXPECT_EQ(a.get("x"), 7u);
-    EXPECT_EQ(a.get("z"), 7u);
-
-    std::string rep = a.report("pre.");
-    EXPECT_NE(rep.find("pre.x 7"), std::string::npos);
-}
-
-TEST(Stats, StatSetCounterHandleStaysValid)
-{
-    // Hot paths cache the counter() reference; it must survive the set
-    // growing by thousands of later registrations (deque-backed storage).
-    StatSet s;
-    std::uint64_t &hot = s.counter("hot.path");
-    for (int i = 0; i < 4000; ++i)
-        s.add("other." + std::to_string(i));
-    hot += 42;
-    ++hot;
-    EXPECT_EQ(s.get("hot.path"), 43u);
-    // Insertion order preserved: the cached counter registered first.
-    EXPECT_EQ(s.entries().front().first, "hot.path");
-}
-
 TEST(Stats, HistogramBuckets)
 {
     Histogram h(10, 4);

@@ -120,15 +120,9 @@ TEST(Cfg, LoopBlocksAndEdges)
         EXPECT_EQ(cfg.blocks[b].entries, cfg.blocks[b].explainedEntries);
 }
 
-TEST(Cfg, MemorySummaryAndSignatures)
+TEST(Cfg, PcSignatures)
 {
     Cfg cfg = flow::buildCfg(loopTrace(10));
-
-    const flow::BasicBlock &a = cfg.blocks[0];
-    EXPECT_EQ(a.mem.loads, 10u);
-    EXPECT_EQ(a.mem.stores, 0u);
-    EXPECT_EQ(a.mem.strideUnit, 9u);   // 64-byte stride, 9 revisits
-    EXPECT_EQ(a.mem.lines, 10u);
 
     const flow::PcSig &sig = cfg.pcSigs.at(0x1008);
     EXPECT_TRUE(sig.isBranch);

@@ -351,7 +351,7 @@ TEST(ServeProtocol, ErrorReplyRoundTripsTheTaxonomy)
 
 TEST(FairQueueTest, RotatesBetweenClients)
 {
-    FairQueue<int> q(16, 1);
+    FairQueue<int> q(16);
     // Greedy client a queues 3 before b queues 2.
     ASSERT_TRUE(q.push("a", 1));
     ASSERT_TRUE(q.push("a", 2));
@@ -368,24 +368,9 @@ TEST(FairQueueTest, RotatesBetweenClients)
     EXPECT_EQ(0u, q.lanes());
 }
 
-TEST(FairQueueTest, QuantumTakesRunsBeforeRotating)
-{
-    FairQueue<int> q(16, 2);
-    for (int i = 1; i <= 4; ++i)
-        ASSERT_TRUE(q.push("a", i));
-    ASSERT_TRUE(q.push("b", 10));
-    ASSERT_TRUE(q.push("b", 20));
-
-    std::vector<int> order;
-    int item = 0;
-    while (q.pop(item))
-        order.push_back(item);
-    EXPECT_EQ((std::vector<int>{1, 2, 10, 20, 3, 4}), order);
-}
-
 TEST(FairQueueTest, BoundRejectsAndDrainRestores)
 {
-    FairQueue<int> q(2, 1);
+    FairQueue<int> q(2);
     EXPECT_TRUE(q.push("a", 1));
     EXPECT_TRUE(q.push("b", 2));
     EXPECT_FALSE(q.push("a", 3));
@@ -402,7 +387,7 @@ TEST(FairQueueTest, BoundRejectsAndDrainRestores)
 
 TEST(FairQueueTest, LateClientWaitsAtMostOneRotation)
 {
-    FairQueue<int> q(16, 1);
+    FairQueue<int> q(16);
     ASSERT_TRUE(q.push("a", 1));
     ASSERT_TRUE(q.push("a", 2));
     int item = 0;

@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for the SimStats reporting plumbing: derived metrics, the
- * StatSet export and the warmup snapshot arithmetic.
+ * registry export and the warmup snapshot arithmetic -- each checked
+ * over every counter of the one field list toBits() walks.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "pipeline/sim_stats.hh"
 
@@ -38,6 +41,18 @@ sample()
     return s;
 }
 
+/** A SimStats whose i-th toBits() field is @p first + i * @p step. */
+SimStats
+distinct(std::uint64_t first, std::uint64_t step)
+{
+    std::vector<std::uint64_t> bits = SimStats{}.toBits();
+    for (std::size_t i = 0; i < bits.size(); ++i)
+        bits[i] = first + i * step;
+    SimStats s;
+    EXPECT_TRUE(SimStats::fromBits(bits, s));
+    return s;
+}
+
 TEST(SimStats, DerivedMetrics)
 {
     SimStats s = sample();
@@ -56,20 +71,43 @@ TEST(SimStats, DerivedMetrics)
     EXPECT_DOUBLE_EQ(zero.branchMpki(), 0.0);
 }
 
-TEST(SimStats, ToStatSetRoundTrip)
+TEST(SimStats, ExportNamesEveryField)
 {
-    StatSet set = sample().toStatSet();
-    EXPECT_EQ(set.get("instructions"), 10000u);
-    EXPECT_EQ(set.get("cycles"), 5000u);
-    EXPECT_EQ(set.get("branches.mispredicts"), 60u);
-    EXPECT_EQ(set.get("branch.return.count"), 100u);
-    EXPECT_EQ(set.get("branch.return.target_mispredicts"), 5u);
-    EXPECT_EQ(set.get("l1d.misses"), 250u);
-    EXPECT_EQ(set.get("prefetch.issued"), 77u);
-    // The report renders every counter.
-    std::string report = set.report("sim.");
-    EXPECT_NE(report.find("sim.instructions 10000"), std::string::npos);
-    EXPECT_NE(report.find("sim.llc.misses 30"), std::string::npos);
+    const SimStats s = distinct(1000, 7);
+    const std::vector<std::uint64_t> bits = s.toBits();
+    obs::MetricsRegistry reg;
+    s.exportTo(reg, "sim");
+
+    // One counter per toBits() field, in that order, under unique names.
+    const obs::MetricsRegistry::Snapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.counters.size(), bits.size());
+    std::set<std::string> names;
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+        const auto &c = snap.counters[i];
+        EXPECT_EQ(c.path.rfind("sim.", 0), 0u) << c.path;
+        EXPECT_TRUE(names.insert(c.path).second) << "duplicate " << c.path;
+        EXPECT_EQ(c.value, bits[i]) << c.path;
+    }
+
+    // Per-type names spell the type as branchTypeName() does (every
+    // value is distinct and non-zero, so an absent name reads 0 and
+    // fails).
+    for (int t = 0; t < 7; ++t) {
+        const std::string base =
+            std::string("sim.branch.") +
+            branchTypeName(static_cast<BranchType>(t));
+        EXPECT_EQ(reg.counterValue(base + ".count"), s.typeCount[t]);
+        EXPECT_EQ(reg.counterValue(base + ".mispredicts"),
+                  s.typeMispredicts[t]);
+        EXPECT_EQ(reg.counterValue(base + ".target_mispredicts"),
+                  s.typeTargetMispredicts[t]);
+    }
+    EXPECT_EQ(reg.counterValue("sim.instructions"), s.instructions);
+    EXPECT_EQ(reg.counterValue("sim.cache.l1i.mshr_merges"),
+              s.l1iMshrMerges);
+    EXPECT_EQ(reg.counterValue("sim.core.rob.full_stalls"), s.robFullStalls);
+    EXPECT_DOUBLE_EQ(reg.gaugeValue("sim.ipc"), s.ipc());
+    EXPECT_DOUBLE_EQ(reg.gaugeValue("sim.cache.llc.mpki"), s.llcMpki());
 }
 
 TEST(SimStats, SnapshotSubtraction)
@@ -90,6 +128,16 @@ TEST(SimStats, SnapshotSubtraction)
     EXPECT_EQ(
         d.typeTargetMispredicts[static_cast<int>(BranchType::Return)], 3u);
     EXPECT_DOUBLE_EQ(d.ipc(), 1.5);
+
+    // Every field subtracts, not just the ones spelled above.
+    const SimStats hi = distinct(5000, 11);
+    const SimStats lo = distinct(100, 3);
+    const std::vector<std::uint64_t> a = hi.toBits();
+    const std::vector<std::uint64_t> b = lo.toBits();
+    const std::vector<std::uint64_t> diff = (hi - lo).toBits();
+    ASSERT_EQ(diff.size(), a.size());
+    for (std::size_t i = 0; i < diff.size(); ++i)
+        EXPECT_EQ(diff[i], a[i] - b[i]) << "field " << i;
 }
 
 } // namespace

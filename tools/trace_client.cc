@@ -121,12 +121,10 @@ printReply(const serve::ServeReply &reply, Tally &tally)
 int
 handleStats(const serve::ServeReply &reply, const std::string &jsonPath)
 {
-    std::printf("schema %s uptime %.3fs jobs %.0f queue_bound %.0f "
-                "quantum %.0f\n",
+    std::printf("schema %s uptime %.3fs jobs %.0f queue_bound %.0f\n",
                 reply.raw.str("schema").c_str(),
                 reply.raw.number("uptime_s"), reply.raw.number("jobs"),
-                reply.raw.number("queue_bound"),
-                reply.raw.number("quantum"));
+                reply.raw.number("queue_bound"));
     for (const auto &[path, value] : reply.raw.numbers)
         if (path.rfind("counters/", 0) == 0 ||
             path.rfind("gauges/", 0) == 0)

@@ -40,8 +40,7 @@ using namespace trb;
 void
 usage(std::ostream &os)
 {
-    os << "usage: trace_served [--socket PATH] [--queue N] "
-          "[--quantum N]\n"
+    os << "usage: trace_served [--socket PATH] [--queue N]\n"
           "                    [--watchdog-ms N] [--write-ms N]\n"
           "\n"
           "Serve trb-serve-v1 simulation requests over a Unix-domain\n"
@@ -53,8 +52,6 @@ usage(std::ostream &os)
           "                  or trb_serve.sock)\n"
           "  --queue N       queued-request bound before typed busy\n"
           "                  replies (default $TRB_SERVE_QUEUE or 64)\n"
-          "  --quantum N     requests per client per round-robin turn\n"
-          "                  (default $TRB_SERVE_QUANTUM or 1)\n"
           "  --watchdog-ms N deadline/dead-client sweep period; 0\n"
           "                  disables the watchdog (default\n"
           "                  $TRB_SERVE_WATCHDOG_MS or 50)\n"
@@ -108,13 +105,6 @@ main(int argc, char **argv)
             out = parsed;
             return true;
         };
-        auto number = [&](const char *name, std::size_t &out) {
-            std::uint64_t parsed = 0;
-            if (!u64(name, parsed, false))
-                return false;
-            out = static_cast<std::size_t>(parsed);
-            return true;
-        };
         if (arg == "-h" || arg == "--help") {
             usage(std::cout);
             return 0;
@@ -124,11 +114,10 @@ main(int argc, char **argv)
                 return 2;
             cfg.socketPath = v;
         } else if (arg == "--queue") {
-            if (!number("--queue", cfg.queueBound))
+            std::uint64_t bound = 0;
+            if (!u64("--queue", bound, false))
                 return 2;
-        } else if (arg == "--quantum") {
-            if (!number("--quantum", cfg.quantum))
-                return 2;
+            cfg.queueBound = static_cast<std::size_t>(bound);
         } else if (arg == "--watchdog-ms") {
             if (!u64("--watchdog-ms", cfg.watchdogMs, true))
                 return 2;
