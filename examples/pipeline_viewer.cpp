@@ -16,7 +16,8 @@
  *   TRB_PIPE_JSON   also write a Chrome trace_event file (load in
  *                   chrome://tracing or Perfetto)
  *   TRB_OBS_JSON    dump the metrics registry as JSON
- *   TRB_OBS_SPANS   write the span timeline's Chrome trace (pid 0)
+ *   TRB_OBS_SPANS   write the span timeline's Chrome trace (pid 0): one
+ *                   generate, convert and simulate slice
  *
  * Every file is written before the first line of stdout, so piping the
  * lane view into `head` cannot cut a file short.
@@ -30,6 +31,8 @@
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/pipeline_trace.hh"
+#include "obs/profile.hh"
+#include "obs/span.hh"
 #include "pipeline/o3core.hh"
 #include "sim/simulator.hh"
 #include "synth/generator.hh"
@@ -50,17 +53,29 @@ main(int argc, char **argv)
         max_instrs = std::strtoull(argv[3], nullptr, 10);
 
     // A call-heavy server workload gives the lane view mispredictions
-    // and cache misses worth looking at.
+    // and cache misses worth looking at.  Each stage runs in its own
+    // span, so TRB_OBS_SPANS holds one slice of each.
     WorkloadParams params = serverParams(/*seed=*/7);
-    TraceGenerator generator(params);
-    CvpTrace cvp = generator.generate(traceLengthFromEnv(20000));
-    Cvp2ChampSim conv(kAllImps);
-    ChampSimTrace trace = conv.convert(cvp);
+    CvpTrace cvp = [&] {
+        obs::SpanScope span("generate");
+        const std::uint64_t length = traceLengthFromEnv(20000);
+        span.setItems(length);
+        return TraceGenerator(params).generate(length);
+    }();
+    ChampSimTrace trace = [&] {
+        obs::SpanScope span("convert");
+        span.setItems(cvp.size());
+        return Cvp2ChampSim(kAllImps).convert(cvp);
+    }();
 
     obs::PipelineTracer tracer;
-    O3Core core(modernConfig());
-    core.setTracer(&tracer);
-    SimStats stats = core.run(trace);
+    SimStats stats = [&] {
+        obs::SpanScope span(obs::kSimulatePhase);
+        span.setItems(trace.size());
+        O3Core core(modernConfig());
+        core.setTracer(&tracer);
+        return core.run(trace);
+    }();
 
     // Every file before any stdout: a reader that closes stdout early
     // (| head) must not stop the viewer before its files are written.

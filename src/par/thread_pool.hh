@@ -87,6 +87,12 @@ class ThreadPool
      * over).  With jobs() == 1 the task runs inline on the caller before
      * submit() returns, preserving the TRB_JOBS=1 exact-serial contract.
      *
+     * With jobs() == N > 1 the task is seeded onto queues 1..N-1 in
+     * turn.  Queue 0 belongs to the thread driving parallelFor(), and a
+     * submitter that never drives one (the serving daemon) leaves it
+     * idle, so detached tasks execute on N - 1 threads: a daemon at
+     * TRB_JOBS=2 executes on one pool thread.
+     *
      * Unlike parallelFor(), nobody waits to rethrow: an escaping
      * exception is logged as a warning and swallowed, so submitters that
      * care must catch inside @p fn.  This is the serving layer's entry

@@ -128,8 +128,15 @@ digestString(const std::string &text, std::uint64_t seed)
 Digest
 digestCvpTrace(const CvpTrace &trace)
 {
-    std::vector<std::uint8_t> bytes = serializeCvpTrace(trace);
-    return digestBytes(bytes.data(), bytes.size());
+    constexpr std::size_t kChunk = 16u << 10;
+    std::uint8_t buf[kChunk + kMaxCvpRecordBytes];
+    Hasher h;
+    encodeCvpTrace(trace, buf, kChunk,
+                   [&h](const std::uint8_t *data, std::size_t size) {
+                       h.update(data, size);
+                       return true;
+                   });
+    return h.finish();
 }
 
 Digest

@@ -70,8 +70,10 @@ Digest digestString(const std::string &text, std::uint64_t seed = 0);
 
 /**
  * Content digest of a CVP-1 trace: hashes the canonical serialised form
- * (the same bytes tryWriteCvpTrace produces), so the digest identifies
- * the trace content regardless of how it was produced.
+ * (the same bytes serializeCvpTrace and tryWriteCvpTrace produce, from
+ * the one record encoder), so the digest identifies the trace content
+ * regardless of how it was produced.  The bytes are streamed through
+ * the hasher in chunks; no copy of the whole trace is built.
  */
 Digest digestCvpTrace(const CvpTrace &trace);
 

@@ -3,6 +3,7 @@
 #include <zlib.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -18,11 +19,28 @@ constexpr char kMagic[8] = {'T', 'R', 'B', '1', 'C', 'V', 'P', '\0'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kHeaderBytes = 20;
 
-void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
+/** Write @p v little-endian at @p out; returns the byte after it. */
+std::uint8_t *
+putU64(std::uint8_t *out, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(out, &v, sizeof(v));
+    } else {
+        for (int i = 0; i < 8; ++i)
+            out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    return out + sizeof(v);
+}
+
+/** Write the header for @p count records at @p out; returns its end. */
+std::uint8_t *
+encodeCvpHeader(std::uint64_t count, std::uint8_t *out)
+{
+    std::memcpy(out, kMagic, sizeof(kMagic));
+    out += sizeof(kMagic);
+    for (int i = 0; i < 4; ++i)
+        *out++ = static_cast<std::uint8_t>(kVersion >> (8 * i));
+    return putU64(out, count);
 }
 
 bool
@@ -103,29 +121,56 @@ CvpRecord::operator==(const CvpRecord &other) const
     return true;
 }
 
+std::uint8_t *
+encodeCvpRecord(const CvpRecord &rec, std::uint8_t *out)
+{
+    static_assert(sizeof(RegId) == 1, "register ids are one byte");
+    out = putU64(out, rec.pc);
+    *out++ = static_cast<std::uint8_t>(rec.cls);
+    if (isBranch(rec.cls)) {
+        *out++ = rec.taken ? 1 : 0;
+        out = putU64(out, rec.target);
+    }
+    if (isMem(rec.cls)) {
+        out = putU64(out, rec.ea);
+        *out++ = rec.accessSize;
+    }
+    trb_assert(rec.numSrc <= kMaxCvpSrc, "too many sources");
+    *out++ = rec.numSrc;
+    std::memcpy(out, rec.src, rec.numSrc);
+    out += rec.numSrc;
+    trb_assert(rec.numDst <= kMaxCvpDst, "too many destinations");
+    *out++ = rec.numDst;
+    std::memcpy(out, rec.dst, rec.numDst);
+    out += rec.numDst;
+    for (unsigned i = 0; i < rec.numDst; ++i)
+        out = putU64(out, rec.dstValue[i]);
+    return out;
+}
+
+bool
+encodeCvpTrace(
+    const CvpTrace &trace, std::uint8_t *buf, std::size_t chunk,
+    const std::function<bool(const std::uint8_t *, std::size_t)> &sink)
+{
+    std::uint8_t *end = encodeCvpHeader(trace.size(), buf);
+    for (const CvpRecord &rec : trace) {
+        end = encodeCvpRecord(rec, end);
+        const auto size = static_cast<std::size_t>(end - buf);
+        if (size >= chunk) {
+            if (!sink(buf, size))
+                return false;
+            end = buf;
+        }
+    }
+    return end == buf || sink(buf, static_cast<std::size_t>(end - buf));
+}
+
 void
 serializeCvpRecord(const CvpRecord &rec, std::vector<std::uint8_t> &out)
 {
-    putU64(out, rec.pc);
-    out.push_back(static_cast<std::uint8_t>(rec.cls));
-    if (isBranch(rec.cls)) {
-        out.push_back(rec.taken ? 1 : 0);
-        putU64(out, rec.target);
-    }
-    if (isMem(rec.cls)) {
-        putU64(out, rec.ea);
-        out.push_back(rec.accessSize);
-    }
-    trb_assert(rec.numSrc <= kMaxCvpSrc, "too many sources");
-    out.push_back(rec.numSrc);
-    for (unsigned i = 0; i < rec.numSrc; ++i)
-        out.push_back(rec.src[i]);
-    trb_assert(rec.numDst <= kMaxCvpDst, "too many destinations");
-    out.push_back(rec.numDst);
-    for (unsigned i = 0; i < rec.numDst; ++i)
-        out.push_back(rec.dst[i]);
-    for (unsigned i = 0; i < rec.numDst; ++i)
-        putU64(out, rec.dstValue[i]);
+    std::uint8_t bytes[kMaxCvpRecordBytes];
+    out.insert(out.end(), bytes, encodeCvpRecord(rec, bytes));
 }
 
 CvpParse
@@ -183,12 +228,9 @@ deserializeCvpRecord(const std::uint8_t *data, std::size_t size,
 std::vector<std::uint8_t>
 serializeCvpTrace(const CvpTrace &trace)
 {
-    std::vector<std::uint8_t> buf;
+    std::vector<std::uint8_t> buf(kHeaderBytes);
     buf.reserve(kHeaderBytes + trace.size() * 32);
-    buf.insert(buf.end(), kMagic, kMagic + sizeof(kMagic));
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(kVersion >> (8 * i)));
-    putU64(buf, trace.size());
+    encodeCvpHeader(trace.size(), buf.data());
     for (const CvpRecord &rec : trace)
         serializeCvpRecord(rec, buf);
     return buf;
@@ -240,33 +282,22 @@ tryWriteCvpTrace(const std::string &path, const CvpTrace &trace)
     if (!f)
         return Status::ioError("cannot open trace file for writing")
             .at(path);
-    std::vector<std::uint8_t> buf;
-    buf.reserve(1u << 20);
-    buf.insert(buf.end(), kMagic, kMagic + sizeof(kMagic));
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(kVersion >> (8 * i)));
-    putU64(buf, trace.size());
+    constexpr std::size_t kChunk = 1u << 20;
+    std::vector<std::uint8_t> buf(kChunk + kMaxCvpRecordBytes);
     std::uint64_t written = 0;
-    for (const CvpRecord &rec : trace) {
-        serializeCvpRecord(rec, buf);
-        if (buf.size() >= (1u << 20)) {
-            if (gzwrite(f, buf.data(), static_cast<unsigned>(buf.size())) <=
-                0) {
-                gzclose(f);
-                return Status::ioError("write error on trace file")
-                    .at(path, written);
-            }
-            written += buf.size();
-            buf.clear();
-        }
-    }
-    if (!buf.empty() &&
-        gzwrite(f, buf.data(), static_cast<unsigned>(buf.size())) <= 0) {
+    const bool ok = encodeCvpTrace(
+        trace, buf.data(), kChunk,
+        [&](const std::uint8_t *data, std::size_t size) {
+            if (gzwrite(f, data, static_cast<unsigned>(size)) <= 0)
+                return false;
+            written += size;
+            return true;
+        });
+    if (!ok) {
         gzclose(f);
         return Status::ioError("write error on trace file")
             .at(path, written);
     }
-    written += buf.size();
     if (gzclose(f) != Z_OK)
         return Status::ioError("close/flush error on trace file")
             .at(path, written);

@@ -15,7 +15,7 @@
  *        output values (the architectural value written to each
  *        destination register -- the property CVP-1 traces are famous for)
  *
- * A 16-byte file header ("TRB1CVP\0", format version, instruction count)
+ * A 20-byte file header ("TRB1CVP\0", format version, instruction count)
  * precedes the records; the real Qualcomm traces are headerless, but since
  * both producers and consumers of this format live in this repository a
  * header buys cheap integrity checking.
@@ -24,7 +24,9 @@
 #ifndef TRB_TRACE_CVP_TRACE_HH
 #define TRB_TRACE_CVP_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -112,6 +114,34 @@ struct CvpRecord
 
 /** A whole CVP-1 trace held in memory. */
 using CvpTrace = std::vector<CvpRecord>;
+
+/**
+ * Upper bound on one encoded record: pc, class, the branch and the
+ * memory fields, and full source and destination lists.
+ */
+constexpr std::size_t kMaxCvpRecordBytes =
+    8 + 1 + (1 + 8) + (8 + 1) + (1 + kMaxCvpSrc) + (1 + kMaxCvpDst) +
+    8 * kMaxCvpDst;
+
+/**
+ * The one record encoder: write @p rec to @p out, which must hold
+ * kMaxCvpRecordBytes, and return the end of the written bytes.  Every
+ * serialised form (files, buffers, content digests) is built from it.
+ */
+std::uint8_t *encodeCvpRecord(const CvpRecord &rec, std::uint8_t *out);
+
+/**
+ * Encode the header and every record of @p trace into @p buf, which must
+ * hold @p chunk + kMaxCvpRecordBytes bytes, and hand each filled chunk to
+ * @p sink.  A chunk ends at the first record boundary at or past
+ * @p chunk bytes, and a last, shorter one holds the rest.  Returns false
+ * as soon as @p sink does, true when every byte was handed over.  The
+ * streamed form of serializeCvpTrace(): the file writer and the content
+ * digest use it, so neither holds the whole serialised trace.
+ */
+bool encodeCvpTrace(
+    const CvpTrace &trace, std::uint8_t *buf, std::size_t chunk,
+    const std::function<bool(const std::uint8_t *, std::size_t)> &sink);
 
 /** Serialise a single record, appending to @p out. */
 void serializeCvpRecord(const CvpRecord &rec, std::vector<std::uint8_t> &out);

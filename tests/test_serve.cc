@@ -564,6 +564,38 @@ TEST_F(ServeDaemonTest, SimMatchesDirectSimulateColdAndWarm)
     daemon.stop();
 }
 
+TEST_F(ServeDaemonTest, RewrittenFileTraceGetsTheNewResult)
+{
+    // A file: spec names a path, not content: a trace rewritten between
+    // two requests must be read again, never answered by its old name.
+    store::Store::setDirForTesting(storeDir_);
+    fs::create_directories(storeDir_);
+    const std::string path = storeDir_ + "/trace.cvp.gz";
+    const CvpTrace before = TraceGenerator(computeIntParams(5)).generate(2000);
+    const CvpTrace after = TraceGenerator(serverParams(5)).generate(2000);
+    par::ThreadPool pool(2);
+    ServeDaemon daemon(config(), &pool);
+    ASSERT_TRUE(daemon.start().ok());
+    ServeClient client;
+    ASSERT_TRUE(client.connect(socketPath_).ok());
+    ServeRequest req;
+    req.op = Op::Sim;
+    req.trace = "file:" + path;
+    req.length = 2000;
+    req.imps = kAllImps;
+
+    ServeReply first, second;
+    ASSERT_TRUE(tryWriteCvpTrace(path, before).ok());
+    ASSERT_TRUE(client.call(req, first).ok());
+    ASSERT_TRUE(tryWriteCvpTrace(path, after).ok());
+    ASSERT_TRUE(client.call(req, second).ok());
+    ASSERT_TRUE(second.ok) << second.error.toString();
+    EXPECT_EQ(simulate(after, SimRequest{.imps = kAllImps, .useStore = false})
+                  .stats.toBits(),
+              second.stats.toBits());
+    daemon.stop();
+}
+
 TEST_F(ServeDaemonTest, MetricTableStaysBoundedAcrossConnections)
 {
     // A long-running daemon sees an unbounded number of connections;

@@ -111,6 +111,20 @@ TEST(StoreDigest, PinnedGoldenValue)
               "f62a14b08300ae0e72a63b473d4c23d4");
 }
 
+TEST(StoreDigest, StreamedCvpDigestMatchesWholeBuffer)
+{
+    // The streamed digest must hash exactly serializeCvpTrace()'s bytes:
+    // every store key built from a CVP digest depends on it.
+    for (std::size_t n : {0u, 1u, 2000u, 50000u}) {
+        const CvpTrace cvp = TraceGenerator(serverParams(3)).generate(n);
+        ASSERT_EQ(cvp.size(), n);
+        const std::vector<std::uint8_t> bytes = serializeCvpTrace(cvp);
+        EXPECT_EQ(store::digestCvpTrace(cvp),
+                  store::digestBytes(bytes.data(), bytes.size()))
+            << n << " records";
+    }
+}
+
 TEST_F(StoreTest, TraceRoundTripAcrossInstances)
 {
     ChampSimTrace trace = makeTrace(1000, 7);
