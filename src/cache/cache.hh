@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/aligned.hh"
 #include "common/types.hh"
 
 namespace trb
@@ -133,10 +134,10 @@ class Cache
     std::size_t ways_;
     std::size_t sets_;
     std::size_t setMask_;
-    std::vector<Addr> tags_;            //!< line numbers, kEmpty if none
-    std::vector<std::uint8_t> dirty_;
-    std::vector<std::uint64_t> lru_;    //!< recency stamps (LRU only)
-    std::vector<std::uint8_t> rrpv_;    //!< re-reference (SRRIP only)
+    AlignedVector<Addr> tags_;          //!< line numbers, kEmpty if none
+    AlignedVector<std::uint8_t> dirty_;
+    AlignedVector<std::uint64_t> lru_;  //!< recency stamps (LRU only)
+    AlignedVector<std::uint8_t> rrpv_;  //!< re-reference (SRRIP only)
     std::uint64_t clock_ = 0;
 
     std::uint64_t accesses_ = 0;

@@ -15,10 +15,10 @@ MemoryHierarchy::walkShared(Addr line, bool write, bool demand,
 {
     bool l2_hit;
     if (demand) {
-        ++l2Acc_;
+        ++counters_.l2Accesses;
         l2_hit = l2_.access(line, false).has_value();
         if (!l2_hit)
-            ++l2Miss_;
+            ++counters_.l2Misses;
     } else {
         l2_hit = l2_.probe(line);
     }
@@ -28,7 +28,7 @@ MemoryHierarchy::walkShared(Addr line, bool write, bool demand,
     if (demand && params_.l2NextLine) {
         Addr cand = NextLinePrefetcher::candidate(line);
         if (!l2_.probe(cand) && !llc_.probe(cand)) {
-            ++pfIssued_;
+            ++counters_.prefetchesIssued;
             // Next-line fill: bring into L2 (and LLC) quietly.
             llc_.insert(cand, false, true);
             l2_.insert(cand, false, true);
@@ -43,10 +43,10 @@ MemoryHierarchy::walkShared(Addr line, bool write, bool demand,
     Cycle lat = params_.l2.latency;
     bool llc_hit;
     if (demand) {
-        ++llcAcc_;
+        ++counters_.llcAccesses;
         llc_hit = llc_.access(line, false).has_value();
         if (!llc_hit)
-            ++llcMiss_;
+            ++counters_.llcMisses;
     } else {
         llc_hit = llc_.probe(line);
     }
@@ -97,11 +97,13 @@ MemoryHierarchy::access(AccessKind kind, Addr addr, Addr ip, Cycle now)
     const bool instr = kind == AccessKind::Instr;
     const bool write = kind == AccessKind::Store;
     L1 &l1 = instr ? l1i_ : l1d_;
+    std::uint64_t &misses =
+        instr ? counters_.l1iMisses : counters_.l1dMisses;
     const Addr line = lineAddr(addr);
 
     AccessResult res;
     res.latency = l1.tags.params().latency;
-    ++l1.accesses;
+    ++(instr ? counters_.l1iAccesses : counters_.l1dAccesses);
     if (std::optional<std::size_t> slot = l1.tags.access(line, write)) {
         // Tag hit, but the fill may still be in flight (a late prefetch
         // or an MSHR merge): pay the remaining time and count it as a
@@ -110,8 +112,8 @@ MemoryHierarchy::access(AccessKind kind, Addr addr, Addr ip, Cycle now)
         if (ready > now) {
             res.latency += ready - now;
             res.l1Miss = true;
-            ++l1.misses;
-            ++l1.mshrMerges;
+            ++misses;
+            ++(instr ? counters_.l1iMshrMerges : counters_.l1dMshrMerges);
             res.level = levelOf(ready - now, params_);
         } else {
             // The fill has completed; clear it, so a later access stamped
@@ -120,7 +122,7 @@ MemoryHierarchy::access(AccessKind kind, Addr addr, Addr ip, Cycle now)
             ready = 0;
         }
     } else {
-        ++l1.misses;
+        ++misses;
         res.l1Miss = true;
         Cycle beyond = fillL1(l1, line, write, true, false, now);
         res.latency += beyond;
@@ -145,7 +147,7 @@ MemoryHierarchy::prefetchL1(L1 &l1, Addr addr, Cycle now)
     Addr line = lineAddr(addr);
     if (l1.tags.probe(line))
         return false;
-    ++pfIssued_;
+    ++counters_.prefetchesIssued;
     fillL1(l1, line, false, false, true, now);
     return true;
 }

@@ -22,6 +22,7 @@
 
 #include "cache/cache.hh"
 #include "cache/prefetcher.hh"
+#include "common/aligned.hh"
 #include "common/types.hh"
 
 namespace trb
@@ -37,6 +38,23 @@ struct HierarchyParams
     Cycle dramLatency = 180;
     bool l1dIpStride = true;    //!< the paper's Icelake-like L1D prefetch
     bool l2NextLine = true;     //!< ... and its L2 next-line companion
+};
+
+/**
+ * The hierarchy's counters; misses are per-level demand misses.  This
+ * is their one declaration: SimStats carries them as its base, so the
+ * core takes all of them in one assignment, and a new counter needs
+ * only this struct, the code that counts it and SimStats' field list.
+ */
+struct HierarchyCounters
+{
+    std::uint64_t l1iAccesses = 0, l1iMisses = 0;
+    std::uint64_t l1dAccesses = 0, l1dMisses = 0;
+    std::uint64_t l2Accesses = 0, l2Misses = 0;
+    std::uint64_t llcAccesses = 0, llcMisses = 0;
+    std::uint64_t prefetchesIssued = 0;
+    /** Demand accesses that merged with an in-flight L1I / L1D fill. */
+    std::uint64_t l1iMshrMerges = 0, l1dMshrMerges = 0;
 };
 
 /** What a demand access is. */
@@ -77,25 +95,10 @@ class MemoryHierarchy
      */
     bool probeL1I(Addr addr, Cycle now) const;
 
-    /// @name Demand statistics (misses are per-level demand misses).
-    /// @{
-    std::uint64_t l1iAccesses() const { return l1i_.accesses; }
-    std::uint64_t l1iMisses() const { return l1i_.misses; }
-    std::uint64_t l1dAccesses() const { return l1d_.accesses; }
-    std::uint64_t l1dMisses() const { return l1d_.misses; }
-    std::uint64_t l2Accesses() const { return l2Acc_; }
-    std::uint64_t l2Misses() const { return l2Miss_; }
-    std::uint64_t llcAccesses() const { return llcAcc_; }
-    std::uint64_t llcMisses() const { return llcMiss_; }
-    std::uint64_t prefetchesIssued() const { return pfIssued_; }
-    /** Demand accesses that merged with an in-flight L1I fill. */
-    std::uint64_t l1iMshrMerges() const { return l1i_.mshrMerges; }
-    /** Demand accesses that merged with an in-flight L1D fill. */
-    std::uint64_t l1dMshrMerges() const { return l1d_.mshrMerges; }
-    /// @}
+    const HierarchyCounters &counters() const { return counters_; }
 
   private:
-    /** An L1: its tag array, the MSHR state in it and its counters. */
+    /** An L1: its tag array and the MSHR state in it. */
     struct L1
     {
         explicit L1(const CacheParams &params)
@@ -104,8 +107,7 @@ class MemoryHierarchy
 
         Cache tags;
         /** Per slot: the cycle its line's fill completes, 0 = none. */
-        std::vector<Cycle> fillReady;
-        std::uint64_t accesses = 0, misses = 0, mshrMerges = 0;
+        AlignedVector<Cycle> fillReady;
     };
 
     /**
@@ -132,9 +134,7 @@ class MemoryHierarchy
     IpStridePrefetcher l1dStride_;
     std::vector<Addr> pfScratch_;   //!< l1dStride_'s candidates
 
-    std::uint64_t l2Acc_ = 0, l2Miss_ = 0;
-    std::uint64_t llcAcc_ = 0, llcMiss_ = 0;
-    std::uint64_t pfIssued_ = 0;
+    HierarchyCounters counters_;
 };
 
 } // namespace trb

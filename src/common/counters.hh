@@ -8,8 +8,14 @@
 #ifndef TRB_COMMON_COUNTERS_HH
 #define TRB_COMMON_COUNTERS_HH
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <vector>
 
+#include "common/aligned.hh"
 #include "common/logging.hh"
 
 namespace trb
@@ -100,47 +106,111 @@ class SignedSatCounter
 };
 
 /**
- * A long global history register folded into fixed-width hashes, the
- * classic TAGE mechanism: maintain the full history as a bit deque and
- * incremental folded images for index and tag computation.
+ * TAGE's geometric history lengths: @p n lengths from @p min_len to
+ * @p max_len, each at least one bit longer than the one before.
  */
-class FoldedHistory
+inline std::vector<unsigned>
+geometricHistoryLengths(unsigned n, unsigned min_len, unsigned max_len)
+{
+    std::vector<unsigned> lengths(n);
+    double ratio = std::pow(static_cast<double>(max_len) / min_len,
+                            1.0 / (n - 1));
+    double len = min_len;
+    for (unsigned t = 0; t < n; ++t) {
+        lengths[t] = std::max<unsigned>(1, static_cast<unsigned>(len + 0.5));
+        if (t > 0 && lengths[t] <= lengths[t - 1])
+            lengths[t] = lengths[t - 1] + 1;
+        len *= ratio;
+    }
+    return lengths;
+}
+
+/**
+ * A long global history register and its folded images, the classic
+ * TAGE mechanism, kept as lane arrays.  Table t reads the last
+ * lengths[t] history bits, and each table's window is folded once per
+ * width ("fold" f): lane f * tables + t holds table t's image under
+ * fold f.  A push reads each table's evicted bit once, then updates
+ * every lane from per-lane precomputed masks in a loop without calls
+ * or branches.
+ */
+class GlobalHistory
 {
   public:
-    FoldedHistory() = default;
-
     /**
-     * @param original_length history bits consumed
-     * @param compressed_length width of the folded image
+     * @param lengths history bits each table consumes
+     * @param widths width of each fold's images (1..31 bits)
      */
-    FoldedHistory(unsigned original_length, unsigned compressed_length)
-        : compLen_(compressed_length),
-          outPoint_(original_length % compressed_length),
-          mask_(static_cast<std::uint32_t>((std::uint64_t{1} << compLen_) - 1))
+    GlobalHistory(const std::vector<unsigned> &lengths,
+                  std::initializer_list<unsigned> widths)
+        : tables_(lengths.size()), evicted_(lengths.size(), 0)
     {
-        trb_assert(compLen_ >= 1 && compLen_ <= 32, "folded width");
+        unsigned longest = 0;
+        for (unsigned len : lengths) {
+            trb_assert(len >= 1, "history length");
+            back_.push_back(len - 1);
+            longest = std::max(longest, len);
+        }
+        for (unsigned width : widths) {
+            trb_assert(width >= 1 && width <= 31, "folded width");
+            for (unsigned len : lengths) {
+                lanes_.push_back(0);
+                outBit_.push_back(1u << (len % width));
+                topBit_.push_back(1u << width);
+            }
+        }
+        // A power of two above the longest window, so an index wraps
+        // with a mask and every bit a lane evicts is the one pushed
+        // that many branches ago.
+        ring_.assign(std::bit_ceil(std::size_t{longest} + 1), 0);
+        ringMask_ = ring_.size() - 1;
     }
 
-    /**
-     * Shift a new bit in and the oldest bit (provided by the caller from
-     * the full history buffer) out.
-     */
+    /** Shift @p bit in and each table's oldest bit out of its window. */
     void
-    update(bool new_bit, bool evicted_bit)
+    push(bool bit)
     {
-        comp_ = (comp_ << 1) | (new_bit ? 1u : 0u);
-        comp_ ^= (evicted_bit ? 1u : 0u) << outPoint_;
-        comp_ ^= comp_ >> compLen_;
-        comp_ &= mask_;
+        // Evicted bits must be read before the head moves.
+        for (std::size_t t = 0; t < tables_; ++t)
+            evicted_[t] = 0u - ring_[(head_ - back_[t]) & ringMask_];
+        const std::uint32_t in = bit ? 1u : 0u;
+        for (std::size_t base = 0; base < lanes_.size(); base += tables_) {
+            std::uint32_t *lane = lanes_.data() + base;
+            const std::uint32_t *out = outBit_.data() + base;
+            const std::uint32_t *top = topBit_.data() + base;
+            for (std::size_t t = 0; t < tables_; ++t) {
+                std::uint32_t c = (lane[t] << 1) | in;
+                c ^= evicted_[t] & out[t];
+                // The bit shifted past the width wraps round to bit 0.
+                c ^= (c & top[t]) ? (top[t] | 1u) : 0u;
+                lane[t] = c;
+            }
+        }
+        head_ = (head_ + 1) & ringMask_;
+        ring_[head_] = bit ? 1 : 0;
     }
 
-    std::uint32_t value() const { return comp_; }
+    /** Table @p t's history folded to fold @p f's width. */
+    std::uint32_t
+    fold(unsigned f, unsigned t) const
+    {
+        return lanes_[f * tables_ + t];
+    }
 
   private:
-    unsigned compLen_ = 1;
-    unsigned outPoint_ = 0;
-    std::uint32_t mask_ = 1;        //!< the low compLen_ bits
-    std::uint32_t comp_ = 0;
+    std::size_t tables_;
+    AlignedVector<std::uint32_t> lanes_;
+    /** Per lane: where the evicted bit leaves, 1 << (length % width). */
+    AlignedVector<std::uint32_t> outBit_;
+    /** Per lane: the bit a shift pushes past the width, 1 << width. */
+    AlignedVector<std::uint32_t> topBit_;
+    /** Per table: all ones when the current push evicts a 1. */
+    AlignedVector<std::uint32_t> evicted_;
+    /** Per table: distance from the head to its oldest bit. */
+    std::vector<std::size_t> back_;
+    std::vector<std::uint8_t> ring_;
+    std::size_t ringMask_ = 0;
+    std::size_t head_ = 0;
 };
 
 } // namespace trb

@@ -1,11 +1,58 @@
 #include "convert/cvp2champsim.hh"
 
 #include <cstdlib>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace trb
 {
+
+namespace
+{
+
+/**
+ * An X30-reading indirect branch that writes a register (BLR X30): the
+ * original converter calls it a return, call-stack a call.  The only
+ * records call-stack changes.
+ */
+bool
+callStackChanges(const CvpRecord &rec)
+{
+    return rec.cls == InstClass::UncondIndirectBranch &&
+           rec.readsReg(aarch64::kLinkReg) && rec.numDst != 0;
+}
+
+/**
+ * A destination-less Alu/SlowAlu/Fp record (a compare): flag-reg gives
+ * it the flags as destination.  The only records flag-reg changes.
+ */
+bool
+flagRegChanges(const CvpRecord &rec)
+{
+    return rec.numDst == 0 &&
+           (rec.cls == InstClass::Alu || rec.cls == InstClass::SlowAlu ||
+            rec.cls == InstClass::Fp);
+}
+
+} // namespace
+
+ImprovementSet
+inertImprovements(const CvpTrace &trace)
+{
+    ImprovementSet inert = kImpCallStack | kImpFlagReg;
+    for (const CvpRecord &rec : trace) {
+        if (callStackChanges(rec))
+            inert &= ~kImpCallStack;
+        else if (flagRegChanges(rec))
+            inert &= ~kImpFlagReg;
+        else
+            continue;
+        if (inert == kImpNone)
+            break;
+    }
+    return inert;
+}
 
 Cvp2ChampSim::Cvp2ChampSim(ImprovementSet imps) : imps_(imps)
 {
@@ -15,8 +62,6 @@ void
 Cvp2ChampSim::reset()
 {
     stats_ = ConvStats{};
-    for (auto &v : regVal_)
-        v = 0;
 }
 
 RegId
@@ -65,36 +110,53 @@ ChampSimTrace
 Cvp2ChampSim::convert(const CvpTrace &in)
 {
     ChampSimTrace out;
-    out.reserve(in.size() + in.size() / 8);
-    for (const CvpRecord &rec : in)
-        convertOne(rec, out);
+    convertInto(in, out);
     return out;
+}
+
+void
+Cvp2ChampSim::convert(const CvpTrace &in, MappedChampSimTrace &out)
+{
+    convertInto(in, out);
 }
 
 void
 Cvp2ChampSim::convertOne(const CvpRecord &rec, ChampSimTrace &out)
 {
+    append(rec, out);
+}
+
+template <typename Trace>
+void
+Cvp2ChampSim::convertInto(const CvpTrace &in, Trace &out)
+{
+    out.clear();
+    out.reserve(in.size() + in.size() / 8);
+    for (const CvpRecord &rec : in)
+        append(rec, out);
+}
+
+template <typename Trace>
+void
+Cvp2ChampSim::append(const CvpRecord &rec, Trace &out)
+{
     ++stats_.cvpInstructions;
     std::size_t before = out.size();
 
+    // Records are built in place, zeroed by emplace_back.
     if (isBranch(rec.cls))
-        convertBranch(rec, out);
+        convertBranch(rec, out.emplace_back());
     else if (isMem(rec.cls))
         convertMem(rec, out);
     else
-        convertAlu(rec, out);
+        convertAlu(rec, out.emplace_back());
 
     stats_.champsimInstructions += out.size() - before;
-
-    // Track architectural values for the inference side table.
-    for (unsigned i = 0; i < rec.numDst; ++i)
-        regVal_[rec.dst[i] % aarch64::kNumRegs] = rec.dstValue[i];
 }
 
 void
-Cvp2ChampSim::convertBranch(const CvpRecord &rec, ChampSimTrace &out)
+Cvp2ChampSim::convertBranch(const CvpRecord &rec, ChampSimRecord &cs)
 {
-    ChampSimRecord cs;
     cs.ip = rec.pc;
     cs.isBranch = 1;
     cs.branchTaken = rec.taken ? 1 : 0;
@@ -145,9 +207,8 @@ Cvp2ChampSim::convertBranch(const CvpRecord &rec, ChampSimTrace &out)
       case InstClass::UncondIndirectBranch: {
         bool reads_x30 = rec.readsReg(aarch64::kLinkReg);
         bool writes_x30 = rec.writesReg(aarch64::kLinkReg);
-        bool is_return = has(kImpCallStack)
-                             ? (reads_x30 && rec.numDst == 0)
-                             : reads_x30;
+        bool is_return =
+            reads_x30 && !(has(kImpCallStack) && callStackChanges(rec));
         if (is_return) {
             // RET: reads SP, writes SP+IP.
             cs.addSrcReg(champsim::kStackPointer);
@@ -193,12 +254,11 @@ Cvp2ChampSim::convertBranch(const CvpRecord &rec, ChampSimTrace &out)
       default:
         trb_panic("non-branch class in convertBranch");
     }
-
-    out.push_back(cs);
 }
 
+template <typename Trace>
 void
-Cvp2ChampSim::convertMem(const CvpRecord &rec, ChampSimTrace &out)
+Cvp2ChampSim::convertMem(const CvpRecord &rec, Trace &out)
 {
     const bool is_load = rec.cls == InstClass::Load;
 
@@ -208,7 +268,7 @@ Cvp2ChampSim::convertMem(const CvpRecord &rec, ChampSimTrace &out)
         bu = inferBaseUpdate(rec);
 
     // ---- Destination and source register lists. ----
-    ChampSimRecord mem;
+    ChampSimRecord &mem = out.emplace_back();
     mem.ip = rec.pc;
 
     if (has(kImpMemRegs)) {
@@ -271,29 +331,24 @@ Cvp2ChampSim::convertMem(const CvpRecord &rec, ChampSimTrace &out)
 
     // ---- Base-update split. ----
     if (has(kImpBaseUpdate) && bu.kind != BaseUpdateKind::None) {
-        ChampSimRecord alu;
-        RegId base = mapReg(bu.baseReg);
+        // The ALU micro-op that updates the base goes before the access
+        // for a pre-index (update-then-access) and after it for a
+        // post-index; the first of the pair has the CVP-1 PC, the
+        // second PC+2.
+        const bool pre = bu.kind == BaseUpdateKind::Pre;
+        ++stats_.splitMicroOps;
+        ++(pre ? stats_.baseUpdatePre : stats_.baseUpdatePost);
+        out.emplace_back();   // may move the memory record
+        ChampSimRecord *pair = &out[out.size() - 2];
+        if (pre)
+            std::swap(pair[0], pair[1]);
+        ChampSimRecord &alu = pair[pre ? 0 : 1];
+        const RegId base = mapReg(bu.baseReg);
         alu.addSrcReg(base);
         alu.addDstReg(base);
-        ++stats_.splitMicroOps;
-        if (bu.kind == BaseUpdateKind::Pre) {
-            // Update-then-access: the ALU gets the CVP-1 PC.
-            alu.ip = rec.pc;
-            mem.ip = rec.pc + 2;
-            ++stats_.baseUpdatePre;
-            out.push_back(alu);
-            out.push_back(mem);
-        } else {
-            // Access-then-update.
-            alu.ip = rec.pc + 2;
-            ++stats_.baseUpdatePost;
-            out.push_back(mem);
-            out.push_back(alu);
-        }
-        return;
+        pair[0].ip = rec.pc;
+        pair[1].ip = rec.pc + 2;
     }
-
-    out.push_back(mem);
 }
 
 void
@@ -332,9 +387,8 @@ Cvp2ChampSim::applyFootprint(const CvpRecord &rec, const BaseUpdateInfo &bu,
 }
 
 void
-Cvp2ChampSim::convertAlu(const CvpRecord &rec, ChampSimTrace &out)
+Cvp2ChampSim::convertAlu(const CvpRecord &rec, ChampSimRecord &cs)
 {
-    ChampSimRecord cs;
     cs.ip = rec.pc;
     for (unsigned i = 0; i < rec.numSrc; ++i)
         if (!cs.addSrcReg(mapReg(rec.src[i])))
@@ -342,15 +396,12 @@ Cvp2ChampSim::convertAlu(const CvpRecord &rec, ChampSimTrace &out)
     for (unsigned i = 0; i < rec.numDst; ++i)
         if (!cs.addDstReg(mapReg(rec.dst[i])))
             ++stats_.truncatedDstRegs;
-    if (rec.numDst == 0 && has(kImpFlagReg) &&
-        (rec.cls == InstClass::Alu || rec.cls == InstClass::SlowAlu ||
-         rec.cls == InstClass::Fp)) {
+    if (has(kImpFlagReg) && flagRegChanges(rec)) {
         // Compares and flag-setting arithmetic: make the dependency from
         // conditional branches through the flag register real.
         cs.addDstReg(champsim::kFlags);
         ++stats_.flagDstsAdded;
     }
-    out.push_back(cs);
 }
 
 } // namespace trb

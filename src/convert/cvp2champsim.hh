@@ -17,9 +17,10 @@
  * and with improvements enabled it applies the paper's fixes
  * individually or in the Table 1 groups.
  *
- * The converter is streaming (convertOne) and carries the same
- * register-value tracking side table the CVP-2 trace reader uses for
- * addressing-mode inference.
+ * The converter is streaming (convertOne): it builds each record in
+ * place in the output and keeps no state across records but its
+ * statistics.  Addressing-mode inference reads only the record at hand
+ * (its destination values against its effective address).
  */
 
 #ifndef TRB_CONVERT_CVP2CHAMPSIM_HH
@@ -103,7 +104,15 @@ class Cvp2ChampSim
     /** Convert a whole trace. */
     ChampSimTrace convert(const CvpTrace &in);
 
-    /** Reset register tracking and statistics. */
+    /**
+     * Convert a whole trace into @p out, replacing its contents but
+     * keeping its capacity, so a caller that converts trace after trace
+     * can reuse one buffer.  The buffer is mapped outside the malloc
+     * heap, so keeping it does not pin the heap's other blocks.
+     */
+    void convert(const CvpTrace &in, MappedChampSimTrace &out);
+
+    /** Reset the statistics. */
     void reset();
 
     const ConvStats &stats() const { return stats_; }
@@ -130,9 +139,15 @@ class Cvp2ChampSim
     static constexpr std::int64_t kMaxImmediate = 4096;
 
   private:
-    void convertBranch(const CvpRecord &rec, ChampSimTrace &out);
-    void convertMem(const CvpRecord &rec, ChampSimTrace &out);
-    void convertAlu(const CvpRecord &rec, ChampSimTrace &out);
+    /** @p Trace is ChampSimTrace or MappedChampSimTrace. */
+    template <typename Trace>
+    void convertInto(const CvpTrace &in, Trace &out);
+    template <typename Trace>
+    void append(const CvpRecord &rec, Trace &out);
+    void convertBranch(const CvpRecord &rec, ChampSimRecord &cs);
+    template <typename Trace>
+    void convertMem(const CvpRecord &rec, Trace &out);
+    void convertAlu(const CvpRecord &rec, ChampSimRecord &cs);
 
     /** Append the second cacheline address when the access crosses. */
     void applyFootprint(const CvpRecord &rec, const BaseUpdateInfo &bu,
@@ -142,8 +157,20 @@ class Cvp2ChampSim
 
     ImprovementSet imps_;
     ConvStats stats_;
-    std::uint64_t regVal_[aarch64::kNumRegs] = {};
 };
+
+/**
+ * The improvements that cannot change what @p trace converts to: for
+ * every set S, converting under S and under S & ~inert gives the same
+ * records.  Exact for two fixes --
+ *   - call-stack is inert iff no UncondIndirectBranch both reads X30
+ *     and has a destination (no BLR X30, the paper's Fig. 5 subset);
+ *   - flag-reg is inert iff every Alu/SlowAlu/Fp record has a
+ *     destination (no compare to give the flags to) --
+ * and the other four fixes are never reported inert.  A sweep answers
+ * a cell whose set is all inert from the trace's No_imp baseline.
+ */
+ImprovementSet inertImprovements(const CvpTrace &trace);
 
 } // namespace trb
 

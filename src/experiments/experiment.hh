@@ -100,13 +100,22 @@ struct DeltaSeries
  * series (and @p baseline_out) are bit-identical for every TRB_JOBS
  * value.
  *
+ * A cell whose set holds only fixes that are inert for its trace (see
+ * inertImprovements(): call-stack on traces without BLR X30, flag-reg
+ * on traces without a destination-less compare) converts to the trace's
+ * No_imp records, so its ratio is answered from the baseline -- exactly
+ * base.ipc() / base.ipc() -- without converting, simulating or looking
+ * up the store; the counter sweep.cells_from_baseline counts them.
+ * Under TRB_LINT every cell still converts, so lint sees every stream.
+ *
  * Failure policy and resume: quarantined traces (see forEachTrace())
  * leave NaN ratios and default baseline stats; the sweep continues.
- * Under TRB_STORE every cell's SimStats are published as they complete,
- * so a rerun of a killed sweep serves the finished cells back from the
- * store, bit-identically, and simulates only the rest.  The store key
- * covers the trace content, the improvement set and the whole core
- * configuration, so a sweep never resumes from another's cells.
+ * Under TRB_STORE every simulated cell's SimStats are published as
+ * they complete, so a rerun of a killed sweep serves the finished cells
+ * back from the store, bit-identically, and simulates only the rest.
+ * The store key covers the trace content, the improvement set and the
+ * whole core configuration, so a sweep never resumes from another's
+ * cells.
  *
  * @param baseline_out optional per-trace baseline stats sink, resized
  *        to the visited-trace count and filled by trace index

@@ -220,7 +220,7 @@ lintTrace(const ChampSimTrace &trace, const LintOptions &opts)
 }
 
 LintReport
-lintConverted(const CvpTrace &cvp, const ChampSimTrace &trace,
+lintConverted(const CvpTrace &cvp, ChampSimView trace,
               const LintOptions &opts)
 {
     Linter linter(opts);
@@ -395,7 +395,7 @@ lintEnabledFromEnv()
 
 std::uint64_t
 maybeLintConverted(const std::string &tag, const CvpTrace &cvp,
-                   const ChampSimTrace &trace)
+                   ChampSimView trace)
 {
     if (!lintEnabledFromEnv())
         return 0;

@@ -138,7 +138,7 @@ LintReport lintTrace(const ChampSimTrace &trace,
  * spaced, so the grouping is unambiguous; records that cannot be aligned
  * are reported under the "align" pseudo-rule.
  */
-LintReport lintConverted(const CvpTrace &cvp, const ChampSimTrace &trace,
+LintReport lintConverted(const CvpTrace &cvp, ChampSimView trace,
                          const LintOptions &opts = {});
 
 /** Human-readable report (diagnostics + per-rule totals). */
@@ -168,7 +168,7 @@ bool lintEnabledFromEnv();
  * after every conversion.
  */
 std::uint64_t maybeLintConverted(const std::string &tag, const CvpTrace &cvp,
-                                 const ChampSimTrace &trace);
+                                 ChampSimView trace);
 
 } // namespace lint
 } // namespace trb

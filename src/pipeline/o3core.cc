@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/aligned.hh"
 #include "common/logging.hh"
 
 namespace trb
@@ -45,7 +46,7 @@ class IssueRing
     };
 
     unsigned width_;
-    std::array<Slot, kSize> slots_{};
+    alignas(kHostLineBytes) std::array<Slot, kSize> slots_{};
 };
 
 std::unique_ptr<DirectionPredictor>
@@ -74,17 +75,7 @@ SimStats
 O3Core::snapshot() const
 {
     SimStats s = raw_;
-    s.l1iAccesses = mem_.l1iAccesses();
-    s.l1iMisses = mem_.l1iMisses();
-    s.l1dAccesses = mem_.l1dAccesses();
-    s.l1dMisses = mem_.l1dMisses();
-    s.l2Accesses = mem_.l2Accesses();
-    s.l2Misses = mem_.l2Misses();
-    s.llcAccesses = mem_.llcAccesses();
-    s.llcMisses = mem_.llcMisses();
-    s.prefetchesIssued = mem_.prefetchesIssued();
-    s.l1iMshrMerges = mem_.l1iMshrMerges();
-    s.l1dMshrMerges = mem_.l1dMshrMerges();
+    static_cast<HierarchyCounters &>(s) = mem_.counters();
     return s;
 }
 
@@ -156,7 +147,7 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
     warmup = std::min<std::uint64_t>(warmup, trace.size());
 
     std::array<Cycle, 256> reg_ready{};
-    std::vector<Cycle> rob_retire(params_.robSize, 0);
+    AlignedVector<Cycle> rob_retire(params_.robSize, 0);
     std::size_t rob_idx = 0;    // i % robSize, kept without a division
     IssueRing issue_ring(params_.issueWidth);
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/hierarchy.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "obs/metrics.hh"
@@ -21,8 +22,11 @@
 namespace trb
 {
 
-/** Measurement-phase statistics of one simulation. */
-struct SimStats
+/**
+ * Measurement-phase statistics of one simulation.  The cache counters
+ * (l1iAccesses .. l1dMshrMerges) come from the HierarchyCounters base.
+ */
+struct SimStats : HierarchyCounters
 {
     std::uint64_t instructions = 0;
     std::uint64_t cycles = 0;
@@ -37,13 +41,6 @@ struct SimStats
     std::array<std::uint64_t, 7> typeCount{};
     std::array<std::uint64_t, 7> typeMispredicts{};
     std::array<std::uint64_t, 7> typeTargetMispredicts{};
-
-    std::uint64_t l1iAccesses = 0, l1iMisses = 0;
-    std::uint64_t l1dAccesses = 0, l1dMisses = 0;
-    std::uint64_t l2Accesses = 0, l2Misses = 0;
-    std::uint64_t llcAccesses = 0, llcMisses = 0;
-    std::uint64_t prefetchesIssued = 0;
-    std::uint64_t l1iMshrMerges = 0, l1dMshrMerges = 0;
 
     /** Dispatches delayed because the ROB slot was still occupied. */
     std::uint64_t robFullStalls = 0;

@@ -92,6 +92,42 @@ resolveIprefId(const SimRequest &req)
     return req.ipref ? req.ipref->name() : "";
 }
 
+/**
+ * Largest conversion buffer a thread keeps between simulate() calls;
+ * one grown past it is released after the run.
+ */
+constexpr std::size_t kKeptConvertBytes = std::size_t{64} << 20;
+
+/**
+ * The calling thread's conversion buffer.  It keeps its capacity from
+ * one cold simulate() to the next, so a run of cold calls converts into
+ * pages that are already mapped: a fresh vector per call would free
+ * megabytes at the heap top, which glibc trims, and fault them back in
+ * on the next call.  Its pages are mapped outside the malloc heap, so
+ * keeping it changes nothing about how the heap trims the caller's own
+ * blocks.  Nothing under simulate() waits on the thread pool, whose
+ * help-first join could start another simulate() on this thread, so one
+ * call at a time uses the buffer.
+ */
+MappedChampSimTrace &
+convertBuffer()
+{
+    thread_local MappedChampSimTrace buffer;
+    return buffer;
+}
+
+/** Releases the conversion buffer when a run leaves it over the cap. */
+struct ConvertBufferCap
+{
+    MappedChampSimTrace &buffer;
+
+    ~ConvertBufferCap()
+    {
+        if (buffer.capacity() * sizeof(ChampSimRecord) > kKeptConvertBytes)
+            MappedChampSimTrace().swap(buffer);
+    }
+};
+
 /** The uncached tail: run the core model over @p trace. */
 SimStats
 runCore(ChampSimView trace, const SimRequest &req)
@@ -223,12 +259,13 @@ simulate(const CvpTrace &cvp, const SimRequest &req)
     // A hit skips conversion, and with it lint: only the stats are
     // memoized, so every conversion that runs is a fresh one.
     return memoized(st, stats_key, [&] {
-        Cvp2ChampSim conv(req.imps);
-        ChampSimTrace trace = [&] {
+        MappedChampSimTrace &trace = convertBuffer();
+        ConvertBufferCap cap{trace};
+        {
             obs::SpanScope span("convert");
             span.setItems(cvp.size());
-            return conv.convert(cvp);
-        }();
+            Cvp2ChampSim(req.imps).convert(cvp, trace);
+        }
         if (lint::lintEnabledFromEnv()) {
             obs::SpanScope span("lint");
             span.setItems(trace.size());

@@ -30,11 +30,16 @@
  * Thread safety: simulate() is pure -- each call builds its own
  * converter and O3Core and touches no shared mutable state -- so the
  * experiment harness calls it concurrently from pool workers (see
- * docs/parallelism.md).  The one caveat is the optional @c ipref: the
- * prefetcher instance is mutated during simulation, so concurrent calls
- * must each pass their own instance.  A *pre-trained* prefetcher also
- * breaks the "result is a function of the request" premise stats
- * caching rests on: pass `.useStore = false` for such runs.
+ * docs/parallelism.md).  The CVP overload converts into a buffer of the
+ * calling thread's own, which keeps its capacity between calls (up to
+ * 64 MiB) so cold calls do not fault its pages in afresh; its pages are
+ * mapped outside the malloc heap, so it does not change how the heap
+ * trims the caller's own blocks.  The one caveat is the optional
+ * @c ipref: the prefetcher instance is mutated during simulation, so
+ * concurrent calls must each pass their own instance.  A *pre-trained*
+ * prefetcher also breaks the "result is a function of the request"
+ * premise stats caching rests on: pass `.useStore = false` for such
+ * runs.
  */
 
 #ifndef TRB_SIM_SIMULATOR_HH

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/aligned.hh"
 #include "common/types.hh"
 #include "resil/status.hh"
 
@@ -150,10 +151,17 @@ static_assert(sizeof(ChampSimRecord) == 64,
 using ChampSimTrace = std::vector<ChampSimRecord>;
 
 /**
+ * A ChampSim trace in pages mapped outside the malloc heap (see
+ * MappedAllocator): for a conversion buffer kept from one trace to the
+ * next.
+ */
+using MappedChampSimTrace = MappedVector<ChampSimRecord>;
+
+/**
  * A non-owning view of a ChampSim trace: the contiguous record array
- * the core model walks.  Converts implicitly from ChampSimTrace, and is
- * how the artifact store serves converted traces zero-copy out of an
- * mmap'd file -- the viewed storage must outlive the view.
+ * the core model walks.  Converts implicitly from either trace type,
+ * and is how the artifact store serves converted traces zero-copy out
+ * of an mmap'd file -- the viewed storage must outlive the view.
  */
 class ChampSimView
 {
@@ -164,6 +172,10 @@ class ChampSimView
     {
     }
     ChampSimView(const ChampSimTrace &trace)   // NOLINT: implicit by design
+        : data_(trace.data()), count_(trace.size())
+    {
+    }
+    ChampSimView(const MappedChampSimTrace &trace)   // NOLINT: implicit
         : data_(trace.data()), count_(trace.size())
     {
     }

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/aligned.hh"
 #include "common/types.hh"
 
 namespace trb
@@ -64,8 +65,8 @@ class Btb
 
     std::size_t setMask_;
     std::size_t ways_;
-    std::vector<Addr> tags_;        //!< per way, kEmpty if unused
-    std::vector<Payload> payload_;
+    AlignedVector<Addr> tags_;      //!< per way, kEmpty if unused
+    AlignedVector<Payload> payload_;
     std::uint64_t clock_ = 0;
     std::uint64_t lookups_ = 0;
     std::uint64_t hits_ = 0;

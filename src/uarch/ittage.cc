@@ -1,35 +1,21 @@
 #include "uarch/ittage.hh"
 
-#include <bit>
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace trb
 {
 
-Ittage::Ittage(const IttageConfig &config) : cfg_(config)
+Ittage::Ittage(const IttageConfig &config)
+    : cfg_(config),
+      hist_(geometricHistoryLengths(cfg_.numTables, cfg_.minHistory,
+                                    cfg_.maxHistory),
+            {cfg_.log2Entries, cfg_.tagBits}),
+      slot_(cfg_.numTables), tag_(cfg_.numTables)
 {
     trb_assert(cfg_.numTables >= 2, "ITTAGE needs at least two tables");
     base_.assign(std::size_t{1} << cfg_.log2BaseEntries, 0);
-    tables_.assign(cfg_.numTables,
-                   std::vector<Entry>(std::size_t{1} << cfg_.log2Entries));
-
-    histLen_.resize(cfg_.numTables);
-    double ratio = std::pow(static_cast<double>(cfg_.maxHistory) /
-                                cfg_.minHistory,
-                            1.0 / (cfg_.numTables - 1));
-    double len = cfg_.minHistory;
-    for (unsigned t = 0; t < cfg_.numTables; ++t) {
-        histLen_[t] = std::max<unsigned>(1, static_cast<unsigned>(len + 0.5));
-        if (t > 0 && histLen_[t] <= histLen_[t - 1])
-            histLen_[t] = histLen_[t - 1] + 1;
-        len *= ratio;
-        idxFold_.emplace_back(histLen_[t], cfg_.log2Entries);
-        tagFold_.emplace_back(histLen_[t], cfg_.tagBits);
-    }
-    history_.assign(std::bit_ceil(histLen_.back() + 1), 0);
-    histMask_ = history_.size() - 1;
+    tables_.assign(std::size_t{cfg_.numTables} << cfg_.log2Entries,
+                   Entry{});
 }
 
 std::size_t
@@ -38,33 +24,27 @@ Ittage::baseIndex(Addr pc) const
     return (pc >> 2) & ((std::size_t{1} << cfg_.log2BaseEntries) - 1);
 }
 
-std::size_t
-Ittage::taggedIndex(Addr pc, unsigned t) const
-{
-    std::size_t mask = (std::size_t{1} << cfg_.log2Entries) - 1;
-    return ((pc >> 2) ^ (pc >> (3 + t)) ^ idxFold_[t].value()) & mask;
-}
-
-std::uint16_t
-Ittage::taggedTag(Addr pc, unsigned t) const
-{
-    return static_cast<std::uint16_t>(
-        ((pc >> 2) ^ (tagFold_[t].value() * 5)) &
-        ((1u << cfg_.tagBits) - 1));
-}
-
 Addr
 Ittage::predict(Addr pc)
 {
+    const std::size_t idx_mask = (std::size_t{1} << cfg_.log2Entries) - 1;
+    const std::uint32_t tag_mask = (1u << cfg_.tagBits) - 1;
+    for (unsigned t = 0; t < cfg_.numTables; ++t) {
+        slot_[t] = (std::size_t{t} << cfg_.log2Entries) +
+                   (((pc >> 2) ^ (pc >> (3 + t)) ^ hist_.fold(kIdxFold, t)) &
+                    idx_mask);
+        tag_[t] = static_cast<std::uint16_t>(
+            ((pc >> 2) ^ (hist_.fold(kTagFold, t) * 5)) & tag_mask);
+    }
+
     last_ = Prediction{};
     last_.target = base_[baseIndex(pc)];
     for (int t = static_cast<int>(cfg_.numTables) - 1; t >= 0; --t) {
-        std::size_t idx = taggedIndex(pc, static_cast<unsigned>(t));
-        Entry &e = tables_[static_cast<unsigned>(t)][idx];
-        if (e.tag == taggedTag(pc, static_cast<unsigned>(t)) &&
-            e.target != 0) {
+        const std::size_t slot = slot_[static_cast<unsigned>(t)];
+        const Entry &e = tables_[slot];
+        if (e.tag == tag_[static_cast<unsigned>(t)] && e.target != 0) {
             last_.provider = t;
-            last_.providerIndex = idx;
+            last_.providerIndex = slot;
             last_.target = e.target;
             break;
         }
@@ -75,14 +55,7 @@ Ittage::predict(Addr pc)
 void
 Ittage::pushHistoryBit(bool bit)
 {
-    for (unsigned t = 0; t < cfg_.numTables; ++t) {
-        std::uint8_t ev =
-            history_[(histHead_ - (histLen_[t] - 1)) & histMask_];
-        idxFold_[t].update(bit, ev);
-        tagFold_[t].update(bit, ev);
-    }
-    histHead_ = (histHead_ + 1) & histMask_;
-    history_[histHead_] = bit ? 1 : 0;
+    hist_.push(bit);
 }
 
 void
@@ -91,8 +64,7 @@ Ittage::update(Addr pc, Addr target)
     bool correct = last_.target == target;
 
     if (last_.provider >= 0) {
-        Entry &e = tables_[static_cast<unsigned>(last_.provider)]
-                          [last_.providerIndex];
+        Entry &e = tables_[last_.providerIndex];
         if (correct) {
             e.confidence.increment();
             e.useful.increment();
@@ -112,10 +84,9 @@ Ittage::update(Addr pc, Addr target)
             ++start;
         bool allocated = false;
         for (unsigned t = start; t < cfg_.numTables && !allocated; ++t) {
-            std::size_t idx = taggedIndex(pc, t);
-            Entry &e = tables_[t][idx];
+            Entry &e = tables_[slot_[t]];
             if (e.useful.value() == 0) {
-                e.tag = taggedTag(pc, t);
+                e.tag = tag_[t];
                 e.target = target;
                 e.confidence = SatCounter(2, 0);
                 allocated = true;
@@ -123,7 +94,7 @@ Ittage::update(Addr pc, Addr target)
         }
         if (!allocated)
             for (unsigned t = start; t < cfg_.numTables; ++t)
-                tables_[t][taggedIndex(pc, t)].useful.decrement();
+                tables_[slot_[t]].useful.decrement();
     }
 
     // Fold the taken-ness and a hash of the target into the history so

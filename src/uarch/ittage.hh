@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/aligned.hh"
 #include "common/counters.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -62,23 +63,28 @@ class Ittage
     {
         Addr target = 0;
         int provider = -1;
-        std::size_t providerIndex = 0;
+        std::size_t providerIndex = 0;  //!< provider's slot in tables_
     };
 
     std::size_t baseIndex(Addr pc) const;
-    std::size_t taggedIndex(Addr pc, unsigned t) const;
-    std::uint16_t taggedTag(Addr pc, unsigned t) const;
+
+    /** History folds: the index image, then the tag image. */
+    enum Fold : unsigned { kIdxFold, kTagFold };
 
     IttageConfig cfg_;
-    std::vector<Addr> base_;
-    std::vector<std::vector<Entry>> tables_;
-    std::vector<unsigned> histLen_;
-    std::vector<FoldedHistory> idxFold_;
-    std::vector<FoldedHistory> tagFold_;
-    /** Circular history, a power of two above the longest length. */
-    std::vector<std::uint8_t> history_;
-    std::size_t histMask_ = 0;
-    std::size_t histHead_ = 0;
+    AlignedVector<Addr> base_;
+    /** The tagged tables back to back: table t's entries start at
+     *  t << log2Entries. */
+    AlignedVector<Entry> tables_;
+    GlobalHistory hist_;
+
+    /**
+     * Per table, the current branch's entry in tables_ and its tag.
+     * predict() computes them once; update() of the same branch reuses
+     * them for allocation, since the history moves only after it.
+     */
+    std::vector<std::size_t> slot_;
+    std::vector<std::uint16_t> tag_;
 
     Prediction last_;
     Rng rng_{0x17746e};

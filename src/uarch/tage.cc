@@ -1,43 +1,23 @@
 #include "uarch/tage.hh"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
+#include <cstdlib>
 
 #include "common/logging.hh"
 
 namespace trb
 {
 
-TageScL::TageScL(const TageConfig &config) : cfg_(config)
+TageScL::TageScL(const TageConfig &config)
+    : cfg_(config),
+      hist_(geometricHistoryLengths(cfg_.numTables, cfg_.minHistory,
+                                    cfg_.maxHistory),
+            {cfg_.log2Entries, cfg_.tagBits, cfg_.tagBits - 1}),
+      slot_(cfg_.numTables), tag_(cfg_.numTables)
 {
     trb_assert(cfg_.numTables >= 2, "TAGE needs at least two tables");
     base_.assign(std::size_t{1} << cfg_.log2BaseEntries, SatCounter(2, 1));
-    tables_.assign(cfg_.numTables,
-                   std::vector<TaggedEntry>(std::size_t{1}
-                                            << cfg_.log2Entries));
-
-    // Geometric history lengths between min and max.
-    histLen_.resize(cfg_.numTables);
-    double ratio = std::pow(static_cast<double>(cfg_.maxHistory) /
-                                cfg_.minHistory,
-                            1.0 / (cfg_.numTables - 1));
-    double len = cfg_.minHistory;
-    for (unsigned t = 0; t < cfg_.numTables; ++t) {
-        histLen_[t] = std::max<unsigned>(1, static_cast<unsigned>(len + 0.5));
-        if (t > 0 && histLen_[t] <= histLen_[t - 1])
-            histLen_[t] = histLen_[t - 1] + 1;
-        len *= ratio;
-    }
-
-    for (unsigned t = 0; t < cfg_.numTables; ++t) {
-        idxFold_.emplace_back(histLen_[t], cfg_.log2Entries);
-        tagFold1_.emplace_back(histLen_[t], cfg_.tagBits);
-        tagFold2_.emplace_back(histLen_[t], cfg_.tagBits - 1);
-    }
-
-    history_.assign(std::bit_ceil(histLen_.back() + 1), 0);
-    histMask_ = history_.size() - 1;
+    tables_.assign(std::size_t{cfg_.numTables} << cfg_.log2Entries,
+                   TaggedEntry{});
     scTable_.assign(kScEntries, SignedSatCounter(6, 0));
     loopTable_.assign(kLoopEntries, LoopEntry{});
 }
@@ -48,55 +28,45 @@ TageScL::baseIndex(Addr pc) const
     return (pc >> 2) & ((std::size_t{1} << cfg_.log2BaseEntries) - 1);
 }
 
-std::size_t
-TageScL::taggedIndex(Addr pc, unsigned t) const
-{
-    std::size_t mask = (std::size_t{1} << cfg_.log2Entries) - 1;
-    return ((pc >> 2) ^ (pc >> (2 + cfg_.log2Entries + t)) ^
-            idxFold_[t].value()) &
-           mask;
-}
-
-std::uint16_t
-TageScL::taggedTag(Addr pc, unsigned t) const
-{
-    std::uint32_t mask = (1u << cfg_.tagBits) - 1;
-    return static_cast<std::uint16_t>(
-        ((pc >> 2) ^ tagFold1_[t].value() ^ (tagFold2_[t].value() << 1)) &
-        mask);
-}
-
 TageScL::Prediction
 TageScL::lookup(Addr pc)
 {
+    const std::size_t idx_mask = (std::size_t{1} << cfg_.log2Entries) - 1;
+    const std::uint32_t tag_mask = (1u << cfg_.tagBits) - 1;
+    for (unsigned t = 0; t < cfg_.numTables; ++t) {
+        slot_[t] = (std::size_t{t} << cfg_.log2Entries) +
+                   (((pc >> 2) ^ (pc >> (2 + cfg_.log2Entries + t)) ^
+                     hist_.fold(kIdxFold, t)) &
+                    idx_mask);
+        tag_[t] = static_cast<std::uint16_t>(
+            ((pc >> 2) ^ hist_.fold(kTagFold1, t) ^
+             (hist_.fold(kTagFold2, t) << 1)) &
+            tag_mask);
+    }
+
     Prediction p;
     p.taken = base_[baseIndex(pc)].taken();
     p.altTaken = p.taken;
 
     for (int t = static_cast<int>(cfg_.numTables) - 1; t >= 0; --t) {
-        std::size_t idx = taggedIndex(pc, static_cast<unsigned>(t));
-        const TaggedEntry &e = tables_[static_cast<unsigned>(t)][idx];
-        if (e.tag != taggedTag(pc, static_cast<unsigned>(t)))
+        const std::size_t slot = slot_[static_cast<unsigned>(t)];
+        if (tables_[slot].tag != tag_[static_cast<unsigned>(t)])
             continue;
         if (p.provider < 0) {
             p.provider = t;
-            p.providerIndex = idx;
+            p.providerIndex = slot;
         } else {
             p.alt = t;
-            p.altIndex = idx;
+            p.altIndex = slot;
             break;
         }
     }
 
     if (p.provider >= 0) {
-        const TaggedEntry &prov =
-            tables_[static_cast<unsigned>(p.provider)][p.providerIndex];
+        const TaggedEntry &prov = tables_[p.providerIndex];
         bool prov_taken = prov.ctr.taken();
-        bool alt_taken =
-            p.alt >= 0
-                ? tables_[static_cast<unsigned>(p.alt)][p.altIndex]
-                      .ctr.taken()
-                : base_[baseIndex(pc)].taken();
+        bool alt_taken = p.alt >= 0 ? tables_[p.altIndex].ctr.taken()
+                                    : base_[baseIndex(pc)].taken();
         p.altTaken = alt_taken;
         p.weak = prov.ctr.confidence() == 0 && prov.useful.value() == 0;
         p.taken = (p.weak && useAltOnNa_.positive()) ? alt_taken
@@ -161,14 +131,12 @@ TageScL::predict(Addr pc)
 
     if (cfg_.useStatisticalCorrector && !last_.loopUsed) {
         // Consult the corrector when the TAGE prediction is weak.
-        std::size_t idx = ((pc >> 2) ^ (idxFold_.front().value() * 3)) &
+        std::size_t idx = ((pc >> 2) ^ (hist_.fold(kIdxFold, 0) * 3)) &
                           (kScEntries - 1);
         last_.scIndex = idx;
         bool provider_weak =
             last_.provider < 0 ||
-            tables_[static_cast<unsigned>(last_.provider)]
-                    [last_.providerIndex]
-                        .ctr.confidence() == 0;
+            tables_[last_.providerIndex].ctr.confidence() == 0;
         const SignedSatCounter &sc = scTable_[idx];
         if (provider_weak && std::abs(sc.value()) > 8) {
             last_.scUsed = true;
@@ -177,24 +145,6 @@ TageScL::predict(Addr pc)
     }
 
     return last_.taken;
-}
-
-void
-TageScL::updateHistories(Addr pc, bool taken)
-{
-    std::uint8_t bit = taken ? 1 : 0;
-    (void)pc;
-
-    // Evicted bits must be read before the head moves.
-    for (unsigned t = 0; t < cfg_.numTables; ++t) {
-        std::uint8_t ev =
-            history_[(histHead_ - (histLen_[t] - 1)) & histMask_];
-        idxFold_[t].update(bit, ev);
-        tagFold1_[t].update(bit, ev);
-        tagFold2_[t].update(bit, ev);
-    }
-    histHead_ = (histHead_ + 1) & histMask_;
-    history_[histHead_] = bit;
 }
 
 void
@@ -209,8 +159,7 @@ TageScL::update(Addr pc, bool taken)
         loopUpdate(pc, taken);
 
     if (p.provider >= 0) {
-        TaggedEntry &prov =
-            tables_[static_cast<unsigned>(p.provider)][p.providerIndex];
+        TaggedEntry &prov = tables_[p.providerIndex];
 
         if (p.weak && prov.ctr.taken() != p.altTaken)
             useAltOnNa_.update(p.altTaken == taken);
@@ -222,14 +171,14 @@ TageScL::update(Addr pc, bool taken)
         if (p.alt < 0 && p.weak)
             base_[baseIndex(pc)].update(taken);
         else if (p.alt >= 0 && p.weak)
-            tables_[static_cast<unsigned>(p.alt)][p.altIndex].ctr.update(
-                taken);
+            tables_[p.altIndex].ctr.update(taken);
         ++providerHits_;
     } else {
         base_[baseIndex(pc)].update(taken);
     }
 
-    // Allocate a longer-history entry on a TAGE misprediction.
+    // Allocate a longer-history entry on a TAGE misprediction, in the
+    // slots predict() looked up.
     if (!tage_correct &&
         p.provider < static_cast<int>(cfg_.numTables) - 1) {
         unsigned start = static_cast<unsigned>(p.provider + 1);
@@ -238,10 +187,9 @@ TageScL::update(Addr pc, bool taken)
             ++start;
         bool allocated = false;
         for (unsigned t = start; t < cfg_.numTables && !allocated; ++t) {
-            std::size_t idx = taggedIndex(pc, t);
-            TaggedEntry &e = tables_[t][idx];
+            TaggedEntry &e = tables_[slot_[t]];
             if (e.useful.value() == 0) {
-                e.tag = taggedTag(pc, t);
+                e.tag = tag_[t];
                 e.ctr = SatCounter(cfg_.ctrBits,
                                    taken ? (1u << (cfg_.ctrBits - 1))
                                          : (1u << (cfg_.ctrBits - 1)) - 1);
@@ -252,11 +200,11 @@ TageScL::update(Addr pc, bool taken)
         if (!allocated) {
             // Pressure: age the usefulness of the candidates.
             for (unsigned t = start; t < cfg_.numTables; ++t)
-                tables_[t][taggedIndex(pc, t)].useful.decrement();
+                tables_[slot_[t]].useful.decrement();
         }
     }
 
-    updateHistories(pc, taken);
+    hist_.push(taken);
 }
 
 } // namespace trb

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/aligned.hh"
 #include "common/counters.hh"
 #include "common/rng.hh"
 #include "uarch/direction_pred.hh"
@@ -69,8 +70,8 @@ class TageScL : public DirectionPredictor
         bool altTaken = false;
         int provider = -1;          //!< tagged table index, -1 = base
         int alt = -1;
-        std::size_t providerIndex = 0;
-        std::size_t altIndex = 0;
+        std::size_t providerIndex = 0;  //!< provider's slot in tables_
+        std::size_t altIndex = 0;       //!< alt's slot in tables_
         bool weak = false;          //!< newly allocated provider
         bool loopUsed = false;
         bool loopPrediction = false;
@@ -80,38 +81,36 @@ class TageScL : public DirectionPredictor
     };
 
     std::size_t baseIndex(Addr pc) const;
-    std::size_t taggedIndex(Addr pc, unsigned table) const;
-    std::uint16_t taggedTag(Addr pc, unsigned table) const;
     Prediction lookup(Addr pc);
-    void updateHistories(Addr pc, bool taken);
 
     bool loopPredict(Addr pc, bool &prediction, bool &high_confidence);
     void loopUpdate(Addr pc, bool taken);
 
+    /** History folds: the index image, then the tag's two images. */
+    enum Fold : unsigned { kIdxFold, kTagFold1, kTagFold2 };
+
     TageConfig cfg_;
-    std::vector<SatCounter> base_;
-    std::vector<std::vector<TaggedEntry>> tables_;
-    std::vector<unsigned> histLen_;
-    std::vector<FoldedHistory> idxFold_;
-    std::vector<FoldedHistory> tagFold1_;
-    std::vector<FoldedHistory> tagFold2_;
+    AlignedVector<SatCounter> base_;
+    /** The tagged tables back to back: table t's entries start at
+     *  t << log2Entries. */
+    AlignedVector<TaggedEntry> tables_;
+    GlobalHistory hist_;
 
     /**
-     * Circular global history.  Its length is a power of two above the
-     * longest history, so an index wraps with a mask, and every bit a
-     * fold reads is the one pushed that many branches ago.
+     * Per table, the current branch's entry in tables_ and its tag.
+     * predict() computes them once; update() of the same branch reuses
+     * them for allocation, since the history moves only after it.
      */
-    std::vector<std::uint8_t> history_;
-    std::size_t histMask_ = 0;
-    std::size_t histHead_ = 0;
+    std::vector<std::size_t> slot_;
+    std::vector<std::uint16_t> tag_;
 
     SignedSatCounter useAltOnNa_{4, 0};
     static constexpr std::size_t kScEntries = 1024;     //!< power of two
     static constexpr std::size_t kLoopEntries = 256;    //!< power of two
-    std::vector<SignedSatCounter> scTable_;
+    AlignedVector<SignedSatCounter> scTable_;
     SignedSatCounter scThreshold_{6, 0};
 
-    std::vector<LoopEntry> loopTable_;
+    AlignedVector<LoopEntry> loopTable_;
 
     Prediction last_;
     Rng rng_{0x7a6e};

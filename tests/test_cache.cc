@@ -332,9 +332,9 @@ TEST(Hierarchy, LatencyComposition)
     auto r2 = mh.access(AccessKind::Load, 0x100000, 0x400000, 1000);
     EXPECT_EQ(r2.latency, 5u);
     EXPECT_EQ(r2.level, 1u);
-    EXPECT_EQ(mh.l1dMisses(), 1u);
-    EXPECT_EQ(mh.l2Misses(), 1u);
-    EXPECT_EQ(mh.llcMisses(), 1u);
+    EXPECT_EQ(mh.counters().l1dMisses, 1u);
+    EXPECT_EQ(mh.counters().l2Misses, 1u);
+    EXPECT_EQ(mh.counters().llcMisses, 1u);
 }
 
 TEST(Hierarchy, L2HitAfterL1Eviction)
@@ -368,8 +368,8 @@ TEST(Hierarchy, InstrAndDataPathsSeparate)
 {
     MemoryHierarchy mh(smallHierarchy());
     mh.access(AccessKind::Instr, 0x400000, 0, 0);
-    EXPECT_EQ(mh.l1iMisses(), 1u);
-    EXPECT_EQ(mh.l1dMisses(), 0u);
+    EXPECT_EQ(mh.counters().l1iMisses, 1u);
+    EXPECT_EQ(mh.counters().l1dMisses, 0u);
     auto r = mh.access(AccessKind::Instr, 0x400000, 0, 100000);
     EXPECT_EQ(r.latency, 4u);
     // The same line as data: L1D misses but L2 has it.
@@ -388,7 +388,7 @@ TEST(Hierarchy, InstrPrefetchHidesLatency)
     // After the fill completes the line is a plain hit.
     auto r = mh.access(AccessKind::Instr, 0x500040 - 64, 0, 100000);
     EXPECT_EQ(r.latency, 4u);
-    EXPECT_EQ(mh.l1iMisses(), 1u);   // the early demand still missed tags
+    EXPECT_EQ(mh.counters().l1iMisses, 1u);   // the early demand still missed tags
 }
 
 TEST(Hierarchy, ProbeL1IRespectsInflight)
@@ -420,7 +420,7 @@ TEST(Hierarchy, CompletedFillIsClearedForEarlierStampedAccesses)
     AccessResult merged =
         mh.access(AccessKind::Store, 0x310000, 0x400000, 150);
     EXPECT_EQ(merged.latency, 5u + (100 + beyond - 150));
-    EXPECT_EQ(mh.l1dMshrMerges(), 1u);
+    EXPECT_EQ(mh.counters().l1dMshrMerges, 1u);
 }
 
 TEST(Hierarchy, ProbeL1IDoesNotClearAFill)
@@ -434,7 +434,7 @@ TEST(Hierarchy, ProbeL1IDoesNotClearAFill)
     AccessResult r = mh.access(AccessKind::Instr, 0x600000, 0, 10);
     EXPECT_EQ(r.latency, 4u + (beyond - 10));
     EXPECT_TRUE(r.l1Miss);
-    EXPECT_EQ(mh.l1iMshrMerges(), 1u);
+    EXPECT_EQ(mh.counters().l1iMshrMerges, 1u);
 }
 
 TEST(Hierarchy, MshrMergeCountsAndReportsItsLevel)
@@ -448,15 +448,15 @@ TEST(Hierarchy, MshrMergeCountsAndReportsItsLevel)
     EXPECT_EQ(r.latency, 5u + 9);
     EXPECT_EQ(r.level, 2u);
     EXPECT_TRUE(r.l1Miss);
-    EXPECT_EQ(mh.l1dMshrMerges(), 1u);
-    EXPECT_EQ(mh.l1dMisses(), 2u);          // a merge is a demand miss
+    EXPECT_EQ(mh.counters().l1dMshrMerges, 1u);
+    EXPECT_EQ(mh.counters().l1dMisses, 2u);          // a merge is a demand miss
 
     // Instruction side: a prefetch still 100 cycles out reads as DRAM.
     ASSERT_TRUE(mh.prefetchInstr(0x800000, 0));
     AccessResult ri = mh.access(AccessKind::Instr, 0x800000, 0, beyond - 100);
     EXPECT_EQ(ri.level, 4u);
-    EXPECT_EQ(mh.l1iMshrMerges(), 1u);
-    EXPECT_EQ(mh.l1iMisses(), 1u);
+    EXPECT_EQ(mh.counters().l1iMshrMerges, 1u);
+    EXPECT_EQ(mh.counters().l1iMisses, 1u);
 }
 
 TEST(Hierarchy, LineZeroIsRefetchedAfterEviction)
@@ -469,13 +469,13 @@ TEST(Hierarchy, LineZeroIsRefetchedAfterEviction)
     mh.access(AccessKind::Load, 0x0, 0x400000, 0);
     for (Addr k = 1; k <= 4; ++k)           // four more lines in set 0
         mh.access(AccessKind::Load, k * set_stride, 0x400000, k * 1000);
-    const std::uint64_t l2_before = mh.l2Accesses();
+    const std::uint64_t l2_before = mh.counters().l2Accesses;
 
     AccessResult again = mh.access(AccessKind::Load, 0x0, 0x400000, 10000);
     EXPECT_TRUE(again.l1Miss);
     EXPECT_EQ(again.latency, 5u + 10);      // L2 still holds it
     EXPECT_EQ(again.level, 2u);
-    EXPECT_EQ(mh.l2Accesses(), l2_before + 1);
+    EXPECT_EQ(mh.counters().l2Accesses, l2_before + 1);
     AccessResult hit = mh.access(AccessKind::Load, 0x0, 0x400000, 20000);
     EXPECT_FALSE(hit.l1Miss);               // and the L1 has it again
     EXPECT_EQ(hit.latency, 5u);
@@ -505,8 +505,8 @@ TEST(Hierarchy, IpStridePrefetcherCutsMisses)
         pf.access(AccessKind::Load, 0x1000000 + i * 64, 0x400100, now);
         now += 300;   // far enough apart for fills to land
     }
-    EXPECT_GT(pf.prefetchesIssued(), 1000u);
-    EXPECT_LT(pf.l1dMisses(), plain.l1dMisses() / 4);
+    EXPECT_GT(pf.counters().prefetchesIssued, 1000u);
+    EXPECT_LT(pf.counters().l1dMisses, plain.counters().l1dMisses / 4);
 }
 
 TEST(Hierarchy, NextLineHelpsSequentialInstrFootprint)
@@ -525,7 +525,7 @@ TEST(Hierarchy, NextLineHelpsSequentialInstrFootprint)
         pf.access(AccessKind::Load, 0x2000000 + i * 64, 0x400200, now);
         now += 300;
     }
-    EXPECT_LT(pf.l2Misses(), plain.l2Misses() / 2);
+    EXPECT_LT(pf.counters().l2Misses, plain.counters().l2Misses / 2);
 }
 
 TEST(Hierarchy, ReportContainsAllCounters)
@@ -533,14 +533,14 @@ TEST(Hierarchy, ReportContainsAllCounters)
     MemoryHierarchy mh(smallHierarchy());
     mh.access(AccessKind::Load, 0x1000, 0x400000, 0);
     // One cold demand load misses every level once; the L1I is idle.
-    EXPECT_EQ(mh.l1iAccesses(), 0u);
-    EXPECT_EQ(mh.l1iMisses(), 0u);
-    EXPECT_EQ(mh.l1dAccesses(), 1u);
-    EXPECT_EQ(mh.l1dMisses(), 1u);
-    EXPECT_EQ(mh.l2Accesses(), 1u);
-    EXPECT_EQ(mh.l2Misses(), 1u);
-    EXPECT_EQ(mh.llcAccesses(), 1u);
-    EXPECT_EQ(mh.llcMisses(), 1u);
+    EXPECT_EQ(mh.counters().l1iAccesses, 0u);
+    EXPECT_EQ(mh.counters().l1iMisses, 0u);
+    EXPECT_EQ(mh.counters().l1dAccesses, 1u);
+    EXPECT_EQ(mh.counters().l1dMisses, 1u);
+    EXPECT_EQ(mh.counters().l2Accesses, 1u);
+    EXPECT_EQ(mh.counters().l2Misses, 1u);
+    EXPECT_EQ(mh.counters().llcAccesses, 1u);
+    EXPECT_EQ(mh.counters().llcMisses, 1u);
 }
 
 TEST(IpStride, DetectsStrideAfterConfidence)

@@ -5,12 +5,15 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <deque>
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#include "common/aligned.hh"
 #include "common/counters.hh"
 #include "common/env.hh"
 #include "common/rng.hh"
@@ -217,37 +220,115 @@ TEST(SignedSatCounter, Saturates)
     EXPECT_FALSE(c.positive());
 }
 
+/** One folded image updated on its own: the reference every
+ *  GlobalHistory lane must match. */
+struct ReferenceFold
+{
+    unsigned width;
+    unsigned outPoint;
+    std::uint32_t comp = 0;
+
+    void
+    update(bool in, bool evicted)
+    {
+        comp = (comp << 1) | (in ? 1u : 0u);
+        comp ^= (evicted ? 1u : 0u) << outPoint;
+        comp ^= comp >> width;
+        comp &= (1u << width) - 1;
+    }
+};
+
 TEST(FoldedHistory, DeterministicAndBounded)
 {
-    // Identical bit streams fold identically; different streams diverge;
-    // the fold always fits in the compressed width.
-    constexpr unsigned orig = 13, comp = 5;
-    auto run = [](std::uint64_t seed) {
-        FoldedHistory fh(orig, comp);
-        std::vector<bool> hist(orig, false);
+    // Every lane equals the one-fold-at-a-time reference over a random
+    // stream and fits its width; identical streams fold identically and
+    // different streams diverge.
+    const std::vector<unsigned> lengths = {4, 13, 37, 160};
+    const std::vector<unsigned> widths = {10, 11, 5};
+    auto run = [&](std::uint64_t seed) {
+        GlobalHistory gh(lengths, {10, 11, 5});
+        std::vector<ReferenceFold> ref;
+        for (unsigned w : widths)
+            for (unsigned len : lengths)
+                ref.push_back({w, len % w});
+        std::deque<bool> hist(lengths.back(), false);   // newest first
         Rng rng(seed);
-        for (int step = 0; step < 500; ++step) {
+        std::uint32_t mix = 0;
+        for (int step = 0; step < 2000; ++step) {
             bool bit = rng.chance(0.5);
-            bool evicted = hist.back();
+            for (std::size_t f = 0; f < widths.size(); ++f)
+                for (std::size_t t = 0; t < lengths.size(); ++t)
+                    ref[f * lengths.size() + t].update(
+                        bit, hist[lengths[t] - 1]);
+            gh.push(bit);
+            hist.push_front(bit);
             hist.pop_back();
-            hist.insert(hist.begin(), bit);
-            fh.update(bit, evicted);
-            if (fh.value() >= (1u << comp))
-                return ~0u;   // out of range: fail below
+            for (unsigned f = 0; f < widths.size(); ++f) {
+                for (unsigned t = 0; t < lengths.size(); ++t) {
+                    const std::uint32_t v = gh.fold(f, t);
+                    EXPECT_EQ(v, ref[f * lengths.size() + t].comp);
+                    EXPECT_LT(v, 1u << widths[f]);
+                    mix = mix * 31 + v;
+                }
+            }
         }
-        return fh.value();
+        return mix;
     };
     EXPECT_EQ(run(23), run(23));
-    EXPECT_LT(run(23), 1u << comp);
     EXPECT_NE(run(23), run(29));
 }
 
 TEST(FoldedHistory, ZeroHistoryFoldsToZero)
 {
-    FoldedHistory fh(16, 8);
+    GlobalHistory gh({16}, {8});
     for (int i = 0; i < 100; ++i)
-        fh.update(false, false);
-    EXPECT_EQ(fh.value(), 0u);
+        gh.push(false);
+    EXPECT_EQ(gh.fold(0, 0), 0u);
+}
+
+/**
+ * Push 200 000 values into @p v, checking that every block it grows
+ * into starts on an @p align boundary and that the values survive.
+ */
+template <typename Vector>
+void
+checkAlignedGrowth(Vector &v, std::uintptr_t align)
+{
+    std::size_t grown = 0;
+    for (std::uint64_t i = 0; i < 200000; ++i) {
+        const std::size_t capacity = v.capacity();
+        v.push_back(i * 3);
+        if (v.capacity() != capacity) {
+            ++grown;
+            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % align, 0u);
+        }
+    }
+    EXPECT_GT(grown, 5u);   // moved through several blocks
+    std::size_t wrong = 0;
+    for (std::uint64_t i = 0; i < v.size(); ++i)
+        wrong += v[i] != i * 3;
+    EXPECT_EQ(wrong, 0u);
+    Vector().swap(v);
+    EXPECT_EQ(v.capacity(), 0u);
+}
+
+TEST(AlignedVector, LineAlignedAndKeepsContentsAsItGrows)
+{
+    AlignedVector<std::uint64_t> v;
+    checkAlignedGrowth(v, kHostLineBytes);
+    // Small blocks too, whatever the heap hands out below them.
+    for (std::size_t n = 1; n < 40; ++n) {
+        AlignedVector<std::uint8_t> bytes(n, 7);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(bytes.data()) %
+                      kHostLineBytes,
+                  0u);
+    }
+}
+
+TEST(MappedVector, PageAlignedAndKeepsContentsAsItGrows)
+{
+    MappedVector<std::uint64_t> v;
+    checkAlignedGrowth(v, static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE)));
 }
 
 TEST(Env, DefaultsWhenUnset)

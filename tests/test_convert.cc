@@ -10,6 +10,7 @@
 #include <set>
 
 #include "convert/cvp2champsim.hh"
+#include "experiments/experiment.hh"
 #include "synth/generator.hh"
 #include "synth/suites.hh"
 #include "trace/branch_deduce.hh"
@@ -634,6 +635,103 @@ TEST(Conversion, CallStackFixOnlyAffectsBlrX30Traces)
         return n;
     };
     EXPECT_GT(count_returns(bad), count_returns(good));
+}
+
+TEST(Conversion, IntoBufferReplacesContentsAndKeepsCapacity)
+{
+    CvpTrace in = TraceGenerator(computeIntParams(3)).generate(4000);
+    ChampSimTrace fresh = Cvp2ChampSim(kAllImps).convert(in);
+    MappedChampSimTrace buffer(2 * fresh.size() + 5, ChampSimRecord{});
+    buffer[0].ip = 0xdead;   // stale contents must not survive
+    const std::size_t capacity = buffer.capacity();
+    Cvp2ChampSim(kAllImps).convert(in, buffer);
+    EXPECT_EQ(ChampSimTrace(buffer.begin(), buffer.end()), fresh);
+    EXPECT_EQ(buffer.capacity(), capacity);
+}
+
+// ---------------------------------------------------------------------
+// Inert improvements: the fixes a trace gives nothing to change.
+
+/** Converting @p trace under @p a and under @p b gives the same bytes. */
+bool
+sameConversion(const CvpTrace &trace, ImprovementSet a, ImprovementSet b)
+{
+    return Cvp2ChampSim(a).convert(trace) == Cvp2ChampSim(b).convert(trace);
+}
+
+/** An ADD X2, X1 (a destination, so nothing for flag-reg) then @p rec. */
+CvpTrace
+afterAdd(const CvpRecord &rec)
+{
+    CvpRecord add;
+    add.pc = 0x0ffc;
+    add.cls = InstClass::Alu;
+    add.addSrc(1);
+    add.addDst(2, 7);
+    return {add, rec};
+}
+
+TEST(InertImprovements, HandBuiltRecordsFlipEachPredicate)
+{
+    const ImprovementSet both = kImpCallStack | kImpFlagReg;
+    EXPECT_EQ(inertImprovements({}), both);
+    EXPECT_EQ(inertImprovements(afterAdd(retRecord())), both);
+    EXPECT_EQ(inertImprovements(afterAdd(cbzRecord())), both);
+
+    // BLR X30, and an X30-reading BR with a destination: call-stack
+    // makes each something other than a return.
+    CvpRecord br_x30 = retRecord();
+    br_x30.addDst(5, 0x77);
+    for (const CvpRecord &rec : {blrX30(), br_x30}) {
+        const CvpTrace trace = afterAdd(rec);
+        EXPECT_EQ(inertImprovements(trace), kImpFlagReg);
+        EXPECT_FALSE(sameConversion(trace, kImpCallStack, kImpNone));
+    }
+
+    // A destination-less compare gives flag-reg its destination.
+    const CvpTrace cmp = afterAdd(cmpRecord());
+    EXPECT_EQ(inertImprovements(cmp), kImpCallStack);
+    EXPECT_FALSE(sameConversion(cmp, kImpFlagReg, kImpNone));
+    EXPECT_EQ(inertImprovements({cmpRecord(), blrX30()}), kImpNone);
+
+    // The four other fixes are never called inert, even where a trace
+    // gives them nothing to change.
+    for (const CvpRecord &rec : {retRecord(), cbzRecord(), plainStore()})
+        EXPECT_EQ(inertImprovements(afterAdd(rec)) & ~both, kImpNone);
+}
+
+/**
+ * For every trace of both suites and every Fig. 1 set S, converting
+ * under S and under S & ~inert gives the same bytes; and each inert
+ * verdict is exact: a fix not called inert changes the No_imp bytes.
+ */
+TEST(InertImprovements, ExactOverBothSuitesAndEveryFigureOneSet)
+{
+    std::vector<TraceSpec> suite = cvp1PublicSuite(20000);
+    for (const TraceSpec &spec : ipc1Suite(20000))
+        suite.push_back(spec);
+    ASSERT_EQ(suite.size(), 185u);
+    std::size_t call_stack_inert = 0;
+    for (const TraceSpec &spec : suite) {
+        const CvpTrace trace =
+            TraceGenerator(spec.params).generate(spec.length);
+        const ImprovementSet inert = inertImprovements(trace);
+        call_stack_inert += (inert & kImpCallStack) != 0;
+        for (ImprovementSet fix : {kImpCallStack, kImpFlagReg})
+            EXPECT_EQ((inert & fix) != 0,
+                      sameConversion(trace, fix, kImpNone))
+                << spec.name << " " << improvementSetName(fix);
+        for (const NamedSet &set : figureOneSets()) {
+            if (set.set & inert) {
+                EXPECT_TRUE(sameConversion(trace, set.set,
+                                           set.set & ~inert))
+                    << spec.name << " " << set.name;
+            }
+        }
+    }
+    // Both verdicts occur: most traces carry no BLR X30.
+    EXPECT_GT(call_stack_inert, suite.size() / 2);
+    EXPECT_LT(call_stack_inert, suite.size());
 }
 
 TEST(ImprovementNames, ParseRoundTrip)

@@ -8,11 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 
 #include "experiments/experiment.hh"
+#include "obs/metrics.hh"
+#include "store/store.hh"
 #include "synth/generator.hh"
 #include "synth/suites.hh"
 
@@ -159,6 +165,149 @@ TEST(PaperDirections, BaseUpdateShrinksMpkisViaInflation)
         ++checked;
     });
     EXPECT_GT(checked, 10u);
+}
+
+// ---------------------------------------------------------------------
+// Cells answered from the baseline.
+
+/**
+ * Four short traces: two without BLR X30 (call-stack inert), one with
+ * (nothing inert), and one with neither BLR X30 nor a compare (call-stack
+ * and flag-reg inert).
+ */
+std::vector<TraceSpec>
+blrMixSuite()
+{
+    std::vector<TraceSpec> suite(4);
+    suite[0] = {"int", computeIntParams(41), 6000};
+    suite[1] = {"srv", serverParams(42), 6000};
+    suite[2] = {"srv_blr", serverParams(43), 6000};
+    suite[2].params.blrX30Frac = 0.8;
+    suite[2].params.indirectCallFrac = 0.4;
+    suite[3] = {"int_nocmp", computeIntParams(44), 6000};
+    suite[3].params.fracCmp = 0.0;
+    suite[3].params.condRegFrac = 1.0;
+    return suite;
+}
+
+std::uint64_t
+doubleBits(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+std::uint64_t
+registryCounter(const char *path)
+{
+    return obs::MetricsRegistry::global().counterValue(path);
+}
+
+/**
+ * Run the Fig. 1 sweep over blrMixSuite() on @p jobs workers, without
+ * and then with a store, and check every ratio and baseline bit for bit
+ * against direct simulate() calls of each set, and the count of cells
+ * answered from the baseline against the inert verdicts.
+ */
+void
+checkSweepAgainstDirectCalls(const char *jobs)
+{
+    // Sized before the global pool's first use in this process (each
+    // gtest case is its own process under ctest).
+    setenv("TRB_JOBS", jobs, 1);
+    const std::vector<TraceSpec> suite = blrMixSuite();
+    const std::vector<NamedSet> &sets = figureOneSets();
+    const CoreParams params = modernConfig();
+
+    std::vector<CvpTrace> traces;
+    std::vector<SimStats> direct_base;
+    std::vector<std::vector<std::uint64_t>> direct_ratio;
+    std::uint64_t inert_cells = 0;
+    for (const TraceSpec &spec : suite) {
+        traces.push_back(TraceGenerator(spec.params).generate(spec.length));
+        const ImprovementSet inert = inertImprovements(traces.back());
+        const SimStats base =
+            simulate(traces.back(), {.params = params, .useStore = false})
+                .stats;
+        direct_base.push_back(base);
+        std::vector<std::uint64_t> row;
+        for (const NamedSet &set : sets) {
+            const SimStats s = simulate(traces.back(), {.imps = set.set,
+                                                        .params = params,
+                                                        .useStore = false})
+                                   .stats;
+            row.push_back(doubleBits(s.ipc() / base.ipc()));
+            inert_cells += (set.set & ~inert) == kImpNone;
+        }
+        direct_ratio.push_back(row);
+    }
+    EXPECT_EQ(inertImprovements(traces[0]), kImpCallStack);
+    EXPECT_EQ(inertImprovements(traces[2]), kImpNone);
+    EXPECT_EQ(inertImprovements(traces[3]), kImpCallStack | kImpFlagReg);
+    // call-stack on the three traces without BLR X30, flag-reg on one.
+    EXPECT_EQ(inert_cells, 4u);
+
+    const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         ("trb_inert_sweep_" + std::to_string(::getpid())))
+            .string();
+    for (bool storing : {false, true}) {
+        std::filesystem::remove_all(dir);
+        store::Store::setDirForTesting(storing ? dir : "");
+        const std::uint64_t answered0 =
+            registryCounter("sweep.cells_from_baseline");
+        std::vector<SimStats> baseline;
+        const std::vector<DeltaSeries> series =
+            runImprovementSweep(suite, sets, params, &baseline);
+        EXPECT_EQ(registryCounter("sweep.cells_from_baseline") - answered0,
+                  inert_cells);
+        ASSERT_EQ(baseline.size(), suite.size());
+        for (std::size_t i = 0; i < suite.size(); ++i) {
+            EXPECT_EQ(baseline[i].toBits(), direct_base[i].toBits())
+                << suite[i].name;
+            for (std::size_t k = 0; k < sets.size(); ++k)
+                EXPECT_EQ(doubleBits(series[k].ratio[i]),
+                          direct_ratio[i][k])
+                    << suite[i].name << " " << sets[k].name
+                    << (storing ? " with a store" : "");
+        }
+        if (storing) {
+            // Every cell but the baseline-answered ones was published.
+            store::Store st(dir);
+            EXPECT_EQ(st.list().size(),
+                      suite.size() * (1 + sets.size()) - inert_cells);
+        }
+    }
+    store::Store::setDirForTesting("");
+    std::filesystem::remove_all(dir);
+    unsetenv("TRB_JOBS");
+}
+
+TEST(InertCells, SweepMatchesDirectSimulateOnOneWorker)
+{
+    checkSweepAgainstDirectCalls("1");
+}
+
+TEST(InertCells, SweepMatchesDirectSimulateOnFourWorkers)
+{
+    checkSweepAgainstDirectCalls("4");
+}
+
+/** Under TRB_LINT every cell still converts, so lint sees each one. */
+TEST(InertCells, LintStillSeesEveryCell)
+{
+    // Read once per process, at the first lint check.
+    setenv("TRB_LINT", "1", 1);
+    const std::vector<TraceSpec> suite = blrMixSuite();
+    const std::uint64_t streams0 = registryCounter("lint.streams");
+    const std::uint64_t answered0 =
+        registryCounter("sweep.cells_from_baseline");
+    runImprovementSweep(suite, figureOneSets(), modernConfig());
+    EXPECT_EQ(registryCounter("lint.streams") - streams0,
+              suite.size() * (1 + figureOneSets().size()));
+    EXPECT_EQ(registryCounter("sweep.cells_from_baseline"), answered0);
+    unsetenv("TRB_LINT");
 }
 
 } // namespace

@@ -7,7 +7,10 @@
  * resolution).
  */
 
+#include <malloc.h>
+
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -487,6 +490,83 @@ TEST(Simulator, EndToEndDeterminism)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
     EXPECT_EQ(a.l1dMisses, b.l1dMisses);
+}
+
+/**
+ * simulate() converts into a buffer of the calling thread's own, kept
+ * between calls: repeated calls that alternate a 1 000- and a 50 000-
+ * instruction trace and two improvement sets, on one thread and then on
+ * two at once, return the bits of a first call made on a fresh thread.
+ */
+TEST(SimulateBuffer, RepeatedCallsMatchFirstCalls)
+{
+    const CvpTrace small = TraceGenerator(computeIntParams(7)).generate(1000);
+    const CvpTrace large = TraceGenerator(serverParams(8)).generate(50000);
+    struct Case
+    {
+        const CvpTrace *trace;
+        ImprovementSet imps;
+    };
+    const std::vector<Case> cases = {{&small, kImpNone},
+                                     {&large, kAllImps},
+                                     {&small, kAllImps},
+                                     {&large, kImpNone}};
+    auto run = [](const Case &c) {
+        return simulate(*c.trace, {.imps = c.imps, .useStore = false})
+            .stats.toBits();
+    };
+
+    std::vector<std::vector<std::uint64_t>> first(cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i)
+        std::thread([&, i] { first[i] = run(cases[i]); }).join();
+
+    for (int round = 0; round < 2; ++round)
+        for (std::size_t i = 0; i < cases.size(); ++i)
+            EXPECT_EQ(run(cases[i]), first[i]) << "case " << i;
+
+    // Two threads at once, walking the cases in opposite orders.
+    std::vector<std::vector<std::uint64_t>> fwd(cases.size()),
+        rev(cases.size());
+    std::thread a([&] {
+        for (std::size_t i = 0; i < cases.size(); ++i)
+            fwd[i] = run(cases[i]);
+    });
+    std::thread b([&] {
+        for (std::size_t i = cases.size(); i-- > 0;)
+            rev[i] = run(cases[i]);
+    });
+    a.join();
+    b.join();
+    EXPECT_EQ(fwd, first);
+    EXPECT_EQ(rev, first);
+}
+
+/**
+ * The buffer simulate() keeps is mapped outside the malloc heap: growing
+ * it to a 50 000-instruction trace (~3.6 MB) leaves the heap's in-use
+ * and malloc-mapped bytes where they were, so it cannot pin blocks freed
+ * below it and change whether the caller's next allocations land on
+ * mapped or on fresh pages.  A fresh thread starts with an empty buffer.
+ */
+TEST(SimulateBuffer, KeptBufferStaysOutOfTheMallocHeap)
+{
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+    const CvpTrace small = TraceGenerator(computeIntParams(7)).generate(1000);
+    const CvpTrace large = TraceGenerator(serverParams(8)).generate(50000);
+    auto held = [] {
+        const struct mallinfo2 m = mallinfo2();
+        return static_cast<long long>(m.uordblks + m.hblkhd);
+    };
+    std::thread([&] {
+        // The first call's one-time set-up stays out of the count.
+        simulate(small, {.useStore = false});
+        const long long before = held();
+        simulate(large, {.useStore = false});
+        EXPECT_LT(held() - before, 1LL << 20);
+    }).join();
+#else
+    GTEST_SKIP() << "needs glibc's mallinfo2";
+#endif
 }
 
 } // namespace

@@ -26,6 +26,14 @@ the base's median (a change k times the base needs k times less
 relative spread).  DIR
 receives runs.jsonl (one line per run: pair, seed, side, result) and
 summary.json.
+
+With --record FILE (the committed history is perf/trajectory.jsonl)
+the batch's summary is also appended to FILE as one JSON line: the
+base's commit, the change's commit and whether its working tree had
+uncommitted edits, the workload and run shape, and per metric the two
+medians, the paired ratio and its interval, the wins and both spread
+verdicts.  Chained paired ratios then give speed over many changes
+without comparing absolute numbers taken on different days or hosts.
 """
 
 import argparse
@@ -118,6 +126,38 @@ def run_side(tree, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
+def git(*args):
+    """Output of a git command run in this repository."""
+    return subprocess.run(["git", "-C", ROOT, *args], stdout=subprocess.PIPE,
+                          text=True, check=True).stdout.strip()
+
+
+def trajectory_entry(base_sha, change_sha, change_dirty, workload, seconds,
+                     seed0, failed, rows):
+    """One perf/trajectory.jsonl line: a batch's summary."""
+    return {
+        "base": base_sha, "change": change_sha,
+        "change_dirty": change_dirty, "workload": workload,
+        "pairs": rows[0]["pairs"] if rows else 0, "seconds": seconds,
+        "seed0": seed0, "failed_of_attempted": failed,
+        "metrics": {r["metric"]: {
+            "base_median": r["base_median"],
+            "change_median": r["change_median"],
+            "ratio": r["median_ratio"], "ci95": r["ci95"],
+            "wins": r["wins"], "base_resolved": r["resolved"],
+            "change_steady": r["change_steady"]} for r in rows},
+    }
+
+
+def append_record(path, entry):
+    """Append entry to the JSON-lines file at path."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "a") as f:
+        f.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
 def export_base(rev, dest):
     """Unpack `git archive rev` of this repository into dest."""
     archive = subprocess.run(["git", "-C", ROOT, "archive", rev],
@@ -154,6 +194,9 @@ def main():
     ap.add_argument("--seed0", required=True, type=int,
                     help="seed of the first pair; pair i runs seed0 + i")
     ap.add_argument("--out", required=True, help="directory for results")
+    ap.add_argument("--record", metavar="FILE",
+                    help="append the batch summary to this JSON-lines "
+                         "file (perf/trajectory.jsonl)")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -200,6 +243,11 @@ def main():
     print(f"  failed/attempted: base {failed['base'][0]}/"
           f"{failed['base'][1]}, change {failed['change'][0]}/"
           f"{failed['change'][1]}")
+    if args.record:
+        append_record(args.record, trajectory_entry(
+            git("rev-parse", args.base + "^{commit}"),
+            git("rev-parse", "HEAD"), bool(git("status", "--porcelain")),
+            args.workload, args.seconds, args.seed0, failed, rows))
     return 0
 
 

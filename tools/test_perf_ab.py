@@ -10,6 +10,7 @@ perfbench/run.py's last line and checks what perf_ab makes of them.
 import json
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -88,6 +89,41 @@ class PerfAbStats(unittest.TestCase):
         runs[3] = (runs[3][0], run_line(lambda m: 1.0, correct=False))
         with self.assertRaises(RuntimeError):
             perf_ab.summarize(METRICS, runs)
+
+    def test_record_appends_one_line_per_batch(self):
+        def better(m, i):
+            return drifting(i) * (0.8 if m["better"] == "lower" else 1.25)
+        runs = [(run_line(lambda m, i=i: drifting(i)),
+                 run_line(lambda m, i=i: better(m, i)))
+                for i in range(PAIRS)]
+        rows = perf_ab.summarize(METRICS, runs)
+        failed = {"base": [0, 1000], "change": [0, 1000]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "perf", "trajectory.jsonl")
+            for seed0 in (1, 7919):
+                perf_ab.append_record(path, perf_ab.trajectory_entry(
+                    "a" * 40, "b" * 40, True, "fig1-cold", 30.0, seed0,
+                    failed, rows))
+            with open(path) as f:
+                lines = [json.loads(line) for line in f]
+        self.assertEqual([e["seed0"] for e in lines], [1, 7919])
+        entry = lines[0]
+        self.assertEqual((entry["base"], entry["change"]),
+                         ("a" * 40, "b" * 40))
+        self.assertTrue(entry["change_dirty"])
+        self.assertEqual(entry["workload"], "fig1-cold")
+        self.assertEqual(entry["pairs"], PAIRS)
+        self.assertEqual(entry["failed_of_attempted"], failed)
+        self.assertEqual(set(entry["metrics"]), {m["name"] for m in METRICS})
+        for row in rows:
+            got = entry["metrics"][row["metric"]]
+            self.assertEqual(got["ratio"], row["median_ratio"])
+            self.assertEqual(got["ci95"], row["ci95"])
+            self.assertEqual(got["wins"], PAIRS)
+            self.assertEqual(got["base_median"], row["base_median"])
+            self.assertEqual(got["change_median"], row["change_median"])
+            self.assertEqual(got["base_resolved"], row["resolved"])
+            self.assertEqual(got["change_steady"], row["change_steady"])
 
 
 if __name__ == "__main__":
