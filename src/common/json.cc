@@ -123,10 +123,14 @@ struct Reader
         return true;
     }
 
+    /** Parse one value at @p path, inside @p depth open containers. */
     bool
-    parseValue(const std::string &path)
+    parseValue(const std::string &path, unsigned depth)
     {
         char c = peek();
+        if ((c == '{' || c == '[') && depth == kMaxJsonDepth)
+            return fail("nesting deeper than " +
+                        std::to_string(kMaxJsonDepth) + " levels");
         if (c == '{') {
             ++pos;
             if (peek() == '}') {
@@ -137,7 +141,8 @@ struct Reader
                 std::string key;
                 if (!parseString(key) || !expect(':'))
                     return false;
-                if (!parseValue(path.empty() ? key : path + "/" + key))
+                if (!parseValue(path.empty() ? key : path + "/" + key,
+                                depth + 1))
                     return false;
                 c = peek();
                 if (c == ',') {
@@ -156,7 +161,8 @@ struct Reader
             }
             std::size_t i = 0;
             do {
-                if (!parseValue(path + "/" + std::to_string(i++)))
+                if (!parseValue(path + "/" + std::to_string(i++),
+                                depth + 1))
                     return false;
                 c = peek();
                 if (c == ',') {
@@ -210,7 +216,7 @@ parseJson(const std::string &text, JsonFlat &out, std::string *error)
 {
     out = JsonFlat{};
     Reader reader(text, out);
-    bool ok = reader.parseValue("");
+    bool ok = reader.parseValue("", 0);
     reader.skipWs();
     if (ok && reader.pos != text.size())
         ok = reader.fail("trailing garbage");

@@ -1,16 +1,21 @@
 /**
  * @file
- * A minimal JSON reader for the documents this repository itself emits
- * (metrics dumps, BENCH_* run manifests, sampler JSONL lines): objects,
- * arrays, strings, numbers, booleans and null.
+ * A minimal JSON reader for the documents this repository emits and
+ * reads (trb-serve-v1 requests and replies, perfbench's reference
+ * file, metrics dumps, BENCH_* run manifests, sampler JSONL lines):
+ * objects, arrays, strings, numbers, booleans and null.
  *
  * The reader flattens the document into two maps keyed by "/"-joined
  * paths -- numbers (booleans fold to 0/1) and strings -- which is the
- * shape every consumer here wants: trace_perf diffs numeric metrics by
- * path, and the tests assert on a handful of known keys.  It is not a
- * general-purpose parser (no \uXXXX decoding beyond a byte passthrough,
- * no duplicate-key detection) and must only be pointed at trusted,
- * self-produced documents.
+ * shape every consumer here wants: the daemon, the client and perfbench
+ * look up known fields by path, and the tests assert on known keys.  It
+ * is not a general-purpose parser (no \uXXXX decoding beyond a byte
+ * passthrough, no duplicate-key detection).
+ *
+ * trace_served feeds it every client frame, so it must survive hostile
+ * input: malformed text fails cleanly, and nesting deeper than
+ * kMaxJsonDepth fails before the recursion (one stack frame and one
+ * longer path string per level) can exhaust the stack or the heap.
  */
 
 #ifndef TRB_COMMON_JSON_HH
@@ -21,6 +26,12 @@
 
 namespace trb
 {
+
+/**
+ * Deepest nesting of objects and arrays parseJson() accepts.  The
+ * deepest document the repository writes or reads has 4 levels.
+ */
+constexpr unsigned kMaxJsonDepth = 64;
 
 /** A JSON document flattened to path -> scalar maps. */
 struct JsonFlat
@@ -43,8 +54,9 @@ struct JsonFlat
 
 /**
  * Parse @p text into @p out.  Returns false (and sets @p error when
- * given) on malformed input or trailing garbage; @p out may then hold a
- * partial flattening and must be discarded.
+ * given) on malformed input, trailing garbage or nesting deeper than
+ * kMaxJsonDepth; @p out may then hold a partial flattening and must be
+ * discarded.
  */
 bool parseJson(const std::string &text, JsonFlat &out,
                std::string *error = nullptr);

@@ -8,10 +8,12 @@
  * fingerprint (every registered TRB_* variable that was set), hostname
  * and git SHA -- the repo's tracked instr/s baseline.
  *
- * The record is what tools/trace_perf diffs: two manifests from the
- * same bench at different commits answer "did this change make the
- * simulator slower, and in which phase".  Schema evolution is
- * append-only; bump kBenchSchema when a field changes meaning.
+ * The record explains one run: where its wall time went, phase by
+ * phase, and which results it produced.  Whether a change made the
+ * simulator slower is settled by paired benchmark runs
+ * (tools/perf_ab.py), not by diffing two single manifests, which host
+ * drift swamps.  Schema evolution is append-only; bump kBenchSchema
+ * when a field changes meaning.
  *
  * TRB_OBS_BENCH_DIR picks the output directory (default: the working
  * directory); set it to "0" or "off" to suppress the file entirely.

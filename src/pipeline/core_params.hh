@@ -24,7 +24,10 @@ enum class DirPredKind : std::uint8_t
     Bimodal,
 };
 
-/** Parameters of the out-of-order core model. */
+/**
+ * Parameters of the out-of-order core model.  The defaults are the
+ * paper's Section 4 configuration, modernConfig().
+ */
 struct CoreParams
 {
     unsigned fetchWidth = 6;

@@ -63,15 +63,18 @@ traceKeyString(const store::Digest &cvp_digest, ImprovementSet imps)
            ";imps=" + imps_hex + ";cvp=" + cvp_digest.hex();
 }
 
-/** Key of a SimStats artifact; @p src identifies the simulated input. */
+/**
+ * Key of a SimStats artifact; @p src identifies the simulated input.
+ * A prefetcher is keyed by its name: every one is default-built, and
+ * no two share a name.
+ */
 std::string
-statsKeyString(const std::string &src, const SimRequest &req,
-               const std::string &ipref_id)
+statsKeyString(const std::string &src, const SimRequest &req)
 {
     return std::string("stats;sim=") + std::to_string(kSimKeyVersion) +
            ";src=" + src + ";core=" + coreParamsKey(req.params) +
            ";warm=" + hexBits(req.warmupFraction) +
-           ";ipref=" + ipref_id;
+           ";ipref=" + (req.ipref ? req.ipref->name() : "");
 }
 
 /** The store this request uses; nullptr when memoization is off. */
@@ -81,15 +84,6 @@ resolveStore(const SimRequest &req)
     if (!req.useStore)
         return nullptr;
     return req.store ? req.store : store::Store::global();
-}
-
-/** Result-keying identity of the request's prefetcher. */
-std::string
-resolveIprefId(const SimRequest &req)
-{
-    if (!req.iprefId.empty())
-        return req.iprefId;
-    return req.ipref ? req.ipref->name() : "";
 }
 
 /**
@@ -208,16 +202,7 @@ coreParamsKey(const CoreParams &p)
 CoreParams
 modernConfig()
 {
-    CoreParams p;
-    p.decoupledFrontEnd = true;
-    p.idealTargets = false;
-    p.rules = DeductionRules::Patched;
-    p.dirPred = DirPredKind::TageScL;
-    p.btbEntries = 16384;
-    p.rasEntries = 64;
-    p.mem.l1dIpStride = true;
-    p.mem.l2NextLine = true;
-    return p;
+    return CoreParams{};
 }
 
 CoreParams
@@ -240,8 +225,7 @@ simulate(ChampSimView trace, const SimRequest &req)
     std::string stats_key;
     if (st)
         stats_key = statsKeyString(
-            "cs:" + store::digestChampSimTrace(trace).hex(), req,
-            resolveIprefId(req));
+            "cs:" + store::digestChampSimTrace(trace).hex(), req);
     return memoized(st, stats_key, [&] { return runCore(trace, req); });
 }
 
@@ -254,7 +238,7 @@ simulate(const CvpTrace &cvp, const SimRequest &req)
         store::Digest cvp_digest =
             req.cvpDigest ? *req.cvpDigest : store::digestCvpTrace(cvp);
         stats_key = statsKeyString(traceKeyString(cvp_digest, req.imps),
-                                   req, resolveIprefId(req));
+                                   req);
     }
     // A hit skips conversion, and with it lint: only the stats are
     // memoized, so every conversion that runs is a fresh one.

@@ -61,7 +61,10 @@
 namespace trb
 {
 
-/** The paper's main-branch ChampSim configuration (Section 4). */
+/**
+ * The paper's main-branch ChampSim configuration (Section 4), which is
+ * what CoreParams defaults to.
+ */
 CoreParams modernConfig();
 
 /** The IPC-1 contest configuration (Section 4.4). */
@@ -91,13 +94,6 @@ struct SimRequest
      * the run, so never share one instance across concurrent calls.
      */
     InstrPrefetcher *ipref = nullptr;
-
-    /**
-     * Identity of @c ipref for result keying; defaults to
-     * ipref->name().  Only override when two prefetchers share a name
-     * but behave differently (and see useStore for trained instances).
-     */
-    std::string iprefId;
 
     /** Explicit store; nullptr means "use Store::global() if any". */
     store::Store *store = nullptr;

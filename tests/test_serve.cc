@@ -529,6 +529,35 @@ TEST_F(ServeDaemonTest, MalformedRequestGetsTypedReplyAndKeepsConn)
     daemon.stop();
 }
 
+TEST_F(ServeDaemonTest, DeeplyNestedFrameGetsTypedReplyAndKeepsConn)
+{
+    par::ThreadPool pool(2);
+    ServeDaemon daemon(config(), &pool);
+    ASSERT_TRUE(daemon.start().ok());
+
+    int fd = rawConnect(socketPath_);
+    ASSERT_GE(fd, 0);
+
+    // ~1 MiB of '[' fits a frame; unbounded, the reader's recursion
+    // would exhaust the reader thread's stack or the heap.
+    ASSERT_TRUE(serve::writeFrame(fd, std::string(1u << 20, '[')).ok());
+    std::string payload;
+    ASSERT_TRUE(serve::readFrame(fd, payload).ok());
+    ServeReply reply;
+    ASSERT_TRUE(serve::parseReply(payload, reply).ok()) << payload;
+    EXPECT_FALSE(reply.ok);
+    EXPECT_EQ(ErrorClass::BadRequest, reply.error.errorClass());
+    EXPECT_EQ("serve.json", reply.error.ruleViolated());
+
+    ASSERT_TRUE(serve::writeFrame(fd, "{\"op\": \"ping\"}").ok());
+    ASSERT_TRUE(serve::readFrame(fd, payload).ok());
+    ASSERT_TRUE(serve::parseReply(payload, reply).ok()) << payload;
+    EXPECT_TRUE(reply.ok);
+    EXPECT_EQ("ping", reply.op);
+    ::close(fd);
+    daemon.stop();
+}
+
 TEST_F(ServeDaemonTest, SimMatchesDirectSimulateColdAndWarm)
 {
     store::Store::setDirForTesting(storeDir_);

@@ -2,9 +2,8 @@
  * @file
  * Tests for the telemetry layer added on top of the metrics registry:
  * the JSON reader (common/json), BENCH run manifests, the time-series
- * sampler, the unified span timeline, the perf-regression comparator
- * behind tools/trace_perf, worker-pool telemetry counters, and the
- * tty-aware SuiteProgress rendering styles.
+ * sampler, the unified span timeline, worker-pool telemetry counters,
+ * and the tty-aware SuiteProgress rendering styles.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@
 #include "experiments/experiment.hh"
 #include "obs/bench_record.hh"
 #include "obs/metrics.hh"
-#include "obs/perf_compare.hh"
 #include "obs/profile.hh"
 #include "obs/sampler.hh"
 #include "obs/span.hh"
@@ -110,6 +108,41 @@ TEST(JsonFlat, RejectsMalformedAndTrailingGarbage)
     EXPECT_FALSE(parseJson("{\"a\": 1} trailing", doc, &error));
     EXPECT_FALSE(parseJson("", doc, &error));
     EXPECT_FALSE(parseJson("{\"a\": 1", doc, &error));
+}
+
+TEST(JsonFlat, NestingDeeperThanTheLimitFails)
+{
+    // trace_served parses every client frame with this reader, which
+    // recurses once per container: a deep document must fail cleanly.
+    auto arrays = [](unsigned depth) {
+        return std::string(depth, '[') + "1" + std::string(depth, ']');
+    };
+    auto objects = [](unsigned depth) {
+        std::string s;
+        for (unsigned i = 0; i < depth; ++i)
+            s += "{\"k\": ";
+        return s + "1" + std::string(depth, '}');
+    };
+    std::string arrayPath, objectPath;
+    for (unsigned i = 0; i < kMaxJsonDepth; ++i) {
+        arrayPath += "/0";
+        objectPath += i ? "/k" : "k";
+    }
+
+    JsonFlat doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(arrays(kMaxJsonDepth), doc, &error)) << error;
+    EXPECT_DOUBLE_EQ(doc.number(arrayPath, -1.0), 1.0);
+    ASSERT_TRUE(parseJson(objects(kMaxJsonDepth), doc, &error)) << error;
+    EXPECT_DOUBLE_EQ(doc.number(objectPath, -1.0), 1.0);
+
+    const std::string want =
+        "nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels";
+    EXPECT_FALSE(parseJson(arrays(kMaxJsonDepth + 1), doc, &error));
+    EXPECT_NE(error.find(want), std::string::npos) << error;
+    error.clear();
+    EXPECT_FALSE(parseJson(objects(kMaxJsonDepth + 1), doc, &error));
+    EXPECT_NE(error.find(want), std::string::npos) << error;
 }
 
 TEST(JsonFlat, RoundTripsTheMetricsExporter)
@@ -618,142 +651,6 @@ TEST(PhaseTable, RowCountDoesNotGrowWithTraces)
         }
     }
     phases.clear();
-}
-
-// ---- the perf comparator ----
-
-std::string
-benchJson(double items_per_second, double wall,
-          const char *schema = obs::kBenchSchema)
-{
-    std::ostringstream os;
-    os << "{\"schema\": \"" << schema << "\", \"bench\": \"unit\", "
-       << "\"wall_seconds\": " << wall << ", \"totals\": {\"items\": "
-       << items_per_second * wall << ", \"items_per_second\": "
-       << items_per_second << "}, \"phases\": {\"simulate\": "
-       << "{\"seconds\": " << wall << ", \"items_per_second\": "
-       << items_per_second << "}}}";
-    return os.str();
-}
-
-JsonFlat
-parsedBench(const std::string &text)
-{
-    JsonFlat doc;
-    std::string error;
-    EXPECT_TRUE(parseJson(text, doc, &error)) << error;
-    return doc;
-}
-
-TEST(PerfCompare, IdenticalRecordsPass)
-{
-    const JsonFlat rec = parsedBench(benchJson(1e6, 2.0));
-    const obs::PerfCompareResult result =
-        obs::comparePerfRecords(rec, rec, {});
-    EXPECT_TRUE(result.ok()) << result.error;
-    EXPECT_FALSE(result.regression);
-    ASSERT_FALSE(result.deltas.empty());
-    for (const obs::PerfDelta &d : result.deltas)
-        EXPECT_DOUBLE_EQ(d.deltaPercent, 0.0);
-}
-
-TEST(PerfCompare, TenPercentDropIsFlaggedAtDefaultThreshold)
-{
-    const JsonFlat base = parsedBench(benchJson(1e6, 2.0));
-    const JsonFlat cand = parsedBench(benchJson(0.9e6, 2.2));
-    const obs::PerfCompareResult result =
-        obs::comparePerfRecords(base, cand, {});
-    EXPECT_TRUE(result.error.empty()) << result.error;
-    EXPECT_TRUE(result.regression);
-
-    bool found = false;
-    for (const obs::PerfDelta &d : result.deltas)
-        if (d.metric == "totals/items_per_second") {
-            found = true;
-            EXPECT_TRUE(d.gated);
-            EXPECT_TRUE(d.regression);
-            EXPECT_NEAR(d.deltaPercent, -10.0, 0.01);
-        }
-    EXPECT_TRUE(found);
-
-    std::ostringstream os;
-    obs::renderPerfTable(os, result);
-    EXPECT_NE(os.str().find("REGRESSION"), std::string::npos);
-}
-
-TEST(PerfCompare, SmallDriftStaysInsideTheNoiseBand)
-{
-    const JsonFlat base = parsedBench(benchJson(1e6, 2.0));
-    const JsonFlat cand = parsedBench(benchJson(0.97e6, 2.0));
-    const obs::PerfCompareResult result =
-        obs::comparePerfRecords(base, cand, {});
-    EXPECT_TRUE(result.ok()) << result.error;
-}
-
-TEST(PerfCompare, PerMetricThresholdOverridesTheGlobal)
-{
-    const JsonFlat base = parsedBench(benchJson(1e6, 2.0));
-    const JsonFlat cand = parsedBench(benchJson(0.97e6, 2.0));
-    obs::PerfCompareOptions opts;
-    opts.perMetricThresholdPercent["totals/items_per_second"] = 2.0;
-    const obs::PerfCompareResult result =
-        obs::comparePerfRecords(base, cand, opts);
-    EXPECT_TRUE(result.regression);
-    // Only the overridden metric regresses; the phase rate keeps the
-    // 5% default and a 3% drop passes there.
-    for (const obs::PerfDelta &d : result.deltas) {
-        if (d.metric == "phases/simulate/items_per_second") {
-            EXPECT_FALSE(d.regression);
-        }
-    }
-}
-
-TEST(PerfCompare, ImprovementsAndWallTimeNeverGate)
-{
-    const JsonFlat base = parsedBench(benchJson(1e6, 2.0));
-    // Throughput doubled, wall time tripled: still a pass -- wall
-    // clock is context, throughput gates and only on drops.
-    const JsonFlat cand = parsedBench(benchJson(2e6, 6.0));
-    const obs::PerfCompareResult result =
-        obs::comparePerfRecords(base, cand, {});
-    EXPECT_TRUE(result.ok()) << result.error;
-    for (const obs::PerfDelta &d : result.deltas) {
-        if (d.metric == "wall_seconds") {
-            EXPECT_FALSE(d.gated);
-        }
-    }
-}
-
-TEST(PerfCompare, SchemaMismatchIsAnError)
-{
-    // A v1 manifest double-counted nested phases: never diff it with v2.
-    const JsonFlat base = parsedBench(benchJson(1e6, 2.0, "trb-bench-v1"));
-    const JsonFlat cand = parsedBench(benchJson(1e6, 2.0));
-    const obs::PerfCompareResult result =
-        obs::comparePerfRecords(base, cand, {});
-    EXPECT_FALSE(result.error.empty());
-    EXPECT_FALSE(result.ok());
-}
-
-TEST(PerfCompare, VacuousGateIsAnError)
-{
-    const JsonFlat empty = parsedBench(
-        "{\"schema\": \"trb-bench-v1\", \"wall_seconds\": 1.0}");
-    const obs::PerfCompareResult result =
-        obs::comparePerfRecords(empty, empty, {});
-    EXPECT_FALSE(result.error.empty());
-}
-
-TEST(PerfCompare, OneSidedMetricsAreReportedNotGated)
-{
-    const JsonFlat base = parsedBench(benchJson(1e6, 2.0));
-    JsonFlat cand = parsedBench(benchJson(1e6, 2.0));
-    cand.numbers["phases/newstage/items_per_second"] = 5e5;
-    const obs::PerfCompareResult result =
-        obs::comparePerfRecords(base, cand, {});
-    EXPECT_TRUE(result.ok()) << result.error;
-    ASSERT_EQ(result.missing.size(), 1u);
-    EXPECT_EQ(result.missing[0], "phases/newstage/items_per_second");
 }
 
 // ---- worker-pool telemetry and flush-on-exception ----

@@ -5,16 +5,13 @@
  *   trace_client --ping
  *   trace_client --trace suite:cvp1:server_017 --imps All_imps
  *   trace_client --file requests.jsonl --retry-busy
- *   trace_client --stats --json BENCH_serve.json
+ *   trace_client --stats
  *
  * One process = one connection = one fairness lane on the daemon.
  * --file mode sends one request per line (each line a trb-serve-v1
  * request document) and waits for each reply before sending the next.
- * --stats prints the daemon's counter snapshot; with --json FILE the
- * same snapshot is also written as a trb-serve-v1 perf record (with a
- * derived throughput/items_per_second), so `trace_perf` directory mode
- * can diff daemon throughput between runs -- name the file
- * BENCH_serve.json to let the pairing find it.
+ * --stats prints the daemon's counter snapshot, one `path value` line
+ * per counter and gauge.
  *
  * Exit status: 0 all replies ok, 1 an error reply (other than busy or
  * timeout), 2 usage/connect/transport failure, 3 still busy after
@@ -42,7 +39,7 @@ void
 usage(std::ostream &os)
 {
     os << "usage: trace_client [--socket PATH] --ping\n"
-          "       trace_client [--socket PATH] --stats [--json FILE]\n"
+          "       trace_client [--socket PATH] --stats\n"
           "       trace_client [--socket PATH] --trace SPEC [options]\n"
           "       trace_client [--socket PATH] --file REQUESTS.jsonl "
           "[options]\n"
@@ -55,8 +52,6 @@ usage(std::ostream &os)
           "                  or trb_serve.sock)\n"
           "  --ping          liveness probe\n"
           "  --stats         print the serve.*/store.* counter snapshot\n"
-          "  --json FILE     with --stats: also write the snapshot as a\n"
-          "                  trb-serve-v1 perf record for trace_perf\n"
           "  --trace SPEC    one simulation: suite:<suite>:<name>,\n"
           "                  preset:<kind>:<seed> or file:<path>\n"
           "  --length N      synthetic trace length (default 50000)\n"
@@ -117,9 +112,9 @@ printReply(const serve::ServeReply &reply, Tally &tally)
     }
 }
 
-/** Render the stats reply for humans and (optionally) trace_perf. */
-int
-handleStats(const serve::ServeReply &reply, const std::string &jsonPath)
+/** Render the stats reply: a header, then one `path value` line each. */
+void
+printStats(const serve::ServeReply &reply)
 {
     std::printf("schema %s uptime %.3fs jobs %.0f queue_bound %.0f\n",
                 reply.raw.str("schema").c_str(),
@@ -130,32 +125,6 @@ handleStats(const serve::ServeReply &reply, const std::string &jsonPath)
             path.rfind("gauges/", 0) == 0)
             std::printf("  %s %.0f\n",
                         path.substr(path.find('/') + 1).c_str(), value);
-
-    if (jsonPath.empty())
-        return 0;
-    const double uptime = reply.raw.number("uptime_s");
-    const double served = reply.raw.number("counters/serve.served");
-    std::ofstream out(jsonPath);
-    if (!out) {
-        std::cerr << "trace_client: cannot write " << jsonPath << "\n";
-        return 2;
-    }
-    out << "{\n  \"schema\": \"" << serve::kServeSchema << "\",\n"
-        << "  \"uptime_s\": " << uptime << ",\n"
-        << "  \"throughput\": {\"items_per_second\": "
-        << (uptime > 0 ? served / uptime : 0.0) << "},\n"
-        << "  \"counters\": {";
-    bool first = true;
-    for (const auto &[path, value] : reply.raw.numbers) {
-        if (path.rfind("counters/", 0) != 0)
-            continue;
-        out << (first ? "" : ",") << "\n    \""
-            << path.substr(std::strlen("counters/")) << "\": "
-            << static_cast<unsigned long long>(value);
-        first = false;
-    }
-    out << "\n  }\n}\n";
-    return out.good() ? 0 : 2;
 }
 
 } // namespace
@@ -165,7 +134,7 @@ main(int argc, char **argv)
 {
     std::string socketPath = env::str("TRB_SERVE_SOCKET",
                                       "trb_serve.sock");
-    std::string jsonPath, filePath, impsName = "No_imp";
+    std::string filePath, impsName = "No_imp";
     serve::ServeRequest req;
     req.deadlineMs = env::u64("TRB_SERVE_DEADLINE_MS", 0);
     unsigned connectTimeoutMs = 0;
@@ -193,11 +162,6 @@ main(int argc, char **argv)
             doPing = true;
         } else if (arg == "--stats") {
             doStats = true;
-        } else if (arg == "--json") {
-            const char *v = value("--json");
-            if (!v)
-                return 2;
-            jsonPath = v;
         } else if (arg == "--trace") {
             const char *v = value("--trace");
             if (!v)
@@ -310,8 +274,7 @@ main(int argc, char **argv)
         req.op = serve::Op::Stats;
         if (!callOnce(req))
             return 2;
-        if (int rc = handleStats(reply, jsonPath); rc != 0)
-            return rc;
+        printStats(reply);
     } else if (!filePath.empty()) {
         std::ifstream in(filePath);
         if (!in) {
