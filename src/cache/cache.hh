@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/aligned.hh"
+#include "common/param_list.hh"
 #include "common/types.hh"
 
 namespace trb
@@ -34,14 +35,17 @@ enum class ReplPolicy : std::uint8_t
     Srrip,
 };
 
-/** Structural parameters of one cache level. */
+/** Structural parameters of one cache level; the name is a label. */
 struct CacheParams
 {
-    std::string name = "cache";
-    std::size_t sizeBytes = 32 * 1024;
-    unsigned ways = 8;
-    Cycle latency = 4;              //!< added cycles when this level hits
-    ReplPolicy policy = ReplPolicy::Lru;
+#define TRB_CACHE_PARAMS(X)                                               \
+    X(std::string, name, "", "cache")                                     \
+    X(std::size_t, sizeBytes, "size", 32 * 1024)                          \
+    X(unsigned, ways, "ways", 8)                                          \
+    /** Added cycles when this level hits. */                             \
+    X(Cycle, latency, "lat", 4)                                           \
+    X(ReplPolicy, policy, "policy", ReplPolicy::Lru)
+    TRB_PARAM_FIELDS(TRB_CACHE_PARAMS)
 };
 
 /** Tag-array cache with LRU/SRRIP replacement. */

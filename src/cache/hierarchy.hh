@@ -23,6 +23,7 @@
 #include "cache/cache.hh"
 #include "cache/prefetcher.hh"
 #include "common/aligned.hh"
+#include "common/param_list.hh"
 #include "common/types.hh"
 
 namespace trb
@@ -31,13 +32,18 @@ namespace trb
 /** Parameters of the whole hierarchy. */
 struct HierarchyParams
 {
-    CacheParams l1i{"L1I", 32 * 1024, 8, 4, ReplPolicy::Lru};
-    CacheParams l1d{"L1D", 48 * 1024, 12, 5, ReplPolicy::Lru};
-    CacheParams l2{"L2", 512 * 1024, 8, 10, ReplPolicy::Lru};
-    CacheParams llc{"LLC", 2 * 1024 * 1024, 16, 24, ReplPolicy::Srrip};
-    Cycle dramLatency = 180;
-    bool l1dIpStride = true;    //!< the paper's Icelake-like L1D prefetch
-    bool l2NextLine = true;     //!< ... and its L2 next-line companion
+#define TRB_HIERARCHY_PARAMS(X)                                           \
+    X(CacheParams, l1i, "l1i", "L1I", 32 * 1024, 8, 4, ReplPolicy::Lru)   \
+    X(CacheParams, l1d, "l1d", "L1D", 48 * 1024, 12, 5, ReplPolicy::Lru)  \
+    X(CacheParams, l2, "l2", "L2", 512 * 1024, 8, 10, ReplPolicy::Lru)    \
+    X(CacheParams, llc, "llc", "LLC", 2 * 1024 * 1024, 16, 24,            \
+      ReplPolicy::Srrip)                                                  \
+    X(Cycle, dramLatency, "dram", 180)                                    \
+    /** The paper's Icelake-like L1D prefetch. */                         \
+    X(bool, l1dIpStride, "l1dpf", true)                                   \
+    /** ... and its L2 next-line companion. */                            \
+    X(bool, l2NextLine, "l2pf", true)
+    TRB_PARAM_FIELDS(TRB_HIERARCHY_PARAMS)
 };
 
 /**

@@ -36,6 +36,7 @@ struct Reader
     std::size_t pos = 0;
     JsonFlat &out;
     std::string error;
+    std::size_t leaves = 0;   //!< scalars read so far
 
     Reader(const std::string &t, JsonFlat &o) : text(t), out(o) {}
 
@@ -127,6 +128,9 @@ struct Reader
     bool
     parseValue(const std::string &path, unsigned depth)
     {
+        if (path.size() > kMaxJsonPathBytes)
+            return fail("path longer than " +
+                        std::to_string(kMaxJsonPathBytes) + " bytes");
         char c = peek();
         if ((c == '{' || c == '[') && depth == kMaxJsonDepth)
             return fail("nesting deeper than " +
@@ -173,6 +177,10 @@ struct Reader
             } while (true);
             return expect(']');
         }
+        // Anything else is one scalar leaf, null included.
+        if (++leaves > kMaxJsonLeaves)
+            return fail("more than " + std::to_string(kMaxJsonLeaves) +
+                        " leaves");
         if (c == '"') {
             std::string s;
             if (!parseString(s))

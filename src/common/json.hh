@@ -13,14 +13,20 @@
  * passthrough, no duplicate-key detection).
  *
  * trace_served feeds it every client frame, so it must survive hostile
- * input: malformed text fails cleanly, and nesting deeper than
- * kMaxJsonDepth fails before the recursion (one stack frame and one
- * longer path string per level) can exhaust the stack or the heap.
+ * input: malformed text fails cleanly, and three bounds keep a frame's
+ * flattening small.  Nesting deeper than kMaxJsonDepth fails before the
+ * recursion (one stack frame and one longer path string per level) can
+ * exhaust the stack or the heap.  More than kMaxJsonLeaves leaves fail
+ * before their map nodes can: a 4 MiB frame of `[0,0,...]` flattened
+ * to 166 MB.  A path longer than kMaxJsonPathBytes fails before every
+ * leaf under it copies it: one long key over a wide array made each
+ * leaf's path a copy of that key.
  */
 
 #ifndef TRB_COMMON_JSON_HH
 #define TRB_COMMON_JSON_HH
 
+#include <cstddef>
 #include <map>
 #include <string>
 
@@ -32,6 +38,19 @@ namespace trb
  * deepest document the repository writes or reads has 4 levels.
  */
 constexpr unsigned kMaxJsonDepth = 64;
+
+/**
+ * Most scalar leaves (strings, numbers, booleans and nulls) parseJson()
+ * accepts in one document.  The largest document the repository reads
+ * is perfbench/reference.json, with 451.
+ */
+constexpr std::size_t kMaxJsonLeaves = 4096;
+
+/**
+ * Longest "/"-joined path parseJson() accepts.  The longest in the
+ * repository's documents has 58 bytes (in perfbench/reference.json).
+ */
+constexpr std::size_t kMaxJsonPathBytes = 1024;
 
 /** A JSON document flattened to path -> scalar maps. */
 struct JsonFlat
@@ -54,9 +73,10 @@ struct JsonFlat
 
 /**
  * Parse @p text into @p out.  Returns false (and sets @p error when
- * given) on malformed input, trailing garbage or nesting deeper than
- * kMaxJsonDepth; @p out may then hold a partial flattening and must be
- * discarded.
+ * given) on malformed input, trailing garbage, nesting deeper than
+ * kMaxJsonDepth, more than kMaxJsonLeaves leaves or a path longer than
+ * kMaxJsonPathBytes; @p out may then hold a partial flattening and must
+ * be discarded.
  */
 bool parseJson(const std::string &text, JsonFlat &out,
                std::string *error = nullptr);

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "cache/hierarchy.hh"
+#include "common/param_list.hh"
 #include "trace/branch_deduce.hh"
 
 namespace trb
@@ -30,36 +31,31 @@ enum class DirPredKind : std::uint8_t
  */
 struct CoreParams
 {
-    unsigned fetchWidth = 6;
-    unsigned issueWidth = 6;
-    unsigned retireWidth = 6;
-    unsigned robSize = 320;
-
-    /** Fetch-to-dispatch depth in cycles. */
-    unsigned frontendDepth = 8;
-
-    /** Extra cycles after resolution before fetch restarts. */
-    unsigned mispredictPenalty = 2;
-
-    /** Redirect cost for decode-resolvable direct-target misses. */
-    unsigned decodeRedirectPenalty = 3;
-
-    /** Decoupled (FDIP-style) front-end with FTQ lookahead prefetch. */
-    bool decoupledFrontEnd = true;
-    unsigned ftqLookahead = 24;    //!< runahead distance in instructions
-
-    /** Ideal branch-target prediction (the IPC-1 ChampSim setup). */
-    bool idealTargets = false;
-
-    /** Branch-type deduction rules (patched per paper Section 3.2.2). */
-    DeductionRules rules = DeductionRules::Patched;
-
-    DirPredKind dirPred = DirPredKind::TageScL;
-    std::size_t btbEntries = 16384;
-    unsigned btbWays = 8;
-    std::size_t rasEntries = 64;
-
-    HierarchyParams mem;
+#define TRB_CORE_PARAMS(X)                                                \
+    X(unsigned, fetchWidth, "fw", 6)                                      \
+    X(unsigned, issueWidth, "iw", 6)                                      \
+    X(unsigned, retireWidth, "rw", 6)                                     \
+    X(unsigned, robSize, "rob", 320)                                      \
+    /** Fetch-to-dispatch depth in cycles. */                             \
+    X(unsigned, frontendDepth, "fd", 8)                                   \
+    /** Extra cycles after resolution before fetch restarts. */           \
+    X(unsigned, mispredictPenalty, "mp", 2)                               \
+    /** Redirect cost for decode-resolvable direct-target misses. */      \
+    X(unsigned, decodeRedirectPenalty, "drp", 3)                          \
+    /** Decoupled (FDIP-style) front-end with FTQ lookahead prefetch. */  \
+    X(bool, decoupledFrontEnd, "dfe", true)                               \
+    /** Runahead distance in instructions. */                             \
+    X(unsigned, ftqLookahead, "ftq", 24)                                  \
+    /** Ideal branch-target prediction (the IPC-1 ChampSim setup). */     \
+    X(bool, idealTargets, "it", false)                                    \
+    /** Branch-type deduction rules (patched per paper Section 3.2.2). */ \
+    X(DeductionRules, rules, "rules", DeductionRules::Patched)            \
+    X(DirPredKind, dirPred, "dir", DirPredKind::TageScL)                  \
+    X(std::size_t, btbEntries, "btb", 16384)                              \
+    X(unsigned, btbWays, "btbw", 8)                                       \
+    X(std::size_t, rasEntries, "ras", 64)                                 \
+    X(HierarchyParams, mem, "mem")
+    TRB_PARAM_FIELDS(TRB_CORE_PARAMS)
 };
 
 } // namespace trb

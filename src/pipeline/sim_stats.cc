@@ -1,5 +1,8 @@
 #include "pipeline/sim_stats.hh"
 
+#include <algorithm>
+#include <bit>
+
 namespace trb
 {
 
@@ -29,10 +32,12 @@ constexpr const char *kBranchTypeNames[7][3] = {
  * counter of @p stats, in the toBits() order.  toBits()/fromBits(),
  * operator- and exportTo() all walk this list, so a counter added here
  * is serialised, subtracted and exported, and one left out is none of
- * them.  Names are static metric paths (no string building).
+ * them.  Names are static metric paths (no string building).  A
+ * static_assert below walks it at build time: a member of SimStats
+ * that it misses, or visits twice, fails the build.
  */
 template <typename Stats, typename Fn>
-void
+constexpr void
 forEachStatField(Stats &stats, Fn &&fn)
 {
     fn("instructions", stats.instructions);
@@ -60,6 +65,25 @@ forEachStatField(Stats &stats, Fn &&fn)
     fn("cache.prefetch.issued", stats.prefetchesIssued);
     fn("core.rob.full_stalls", stats.robFullStalls);
 }
+
+/** True when forEachStatField visits every word of SimStats once. */
+constexpr bool
+visitsEveryStatOnce()
+{
+    constexpr std::size_t kWords = sizeof(SimStats) / sizeof(std::uint64_t);
+    SimStats stats;
+    std::size_t visits = 0;
+    forEachStatField(stats, [&](const char *, std::uint64_t &v) {
+        ++v;
+        ++visits;
+    });
+    const auto words = std::bit_cast<std::array<std::uint64_t, kWords>>(stats);
+    return visits == kWords &&
+           std::ranges::all_of(words, [](std::uint64_t w) { return w == 1; });
+}
+
+static_assert(visitsEveryStatOnce(),
+              "every SimStats member must be in forEachStatField once");
 
 } // namespace
 

@@ -1,5 +1,6 @@
 #include "resil/status.hh"
 
+#include <iterator>
 #include <sstream>
 
 #include "obs/metrics.hh"
@@ -7,30 +8,32 @@
 namespace trb
 {
 
+namespace
+{
+
+/** Every class's name, indexed by ErrorClass. */
+constexpr const char *kClassNames[] = {
+#define TRB_ERROR_CLASS_NAME(cls, name) name,
+    TRB_ERROR_CLASSES(TRB_ERROR_CLASS_NAME)
+#undef TRB_ERROR_CLASS_NAME
+};
+
+} // namespace
+
 const char *
 errorClassName(ErrorClass cls)
 {
-    switch (cls) {
-      case ErrorClass::Ok:
-        return "ok";
-      case ErrorClass::TruncatedInput:
-        return "truncated_input";
-      case ErrorClass::CorruptRecord:
-        return "corrupt_record";
-      case ErrorClass::IoError:
-        return "io_error";
-      case ErrorClass::BadMagic:
-        return "bad_magic";
-      case ErrorClass::Internal:
-        return "internal";
-      case ErrorClass::BadRequest:
-        return "bad_request";
-      case ErrorClass::Busy:
-        return "busy";
-      case ErrorClass::Timeout:
-        return "timeout";
-    }
-    return "unknown";
+    const auto i = static_cast<std::size_t>(cls);
+    return i < std::size(kClassNames) ? kClassNames[i] : "unknown";
+}
+
+std::optional<ErrorClass>
+errorClassNamed(std::string_view name)
+{
+    for (std::size_t i = 0; i < std::size(kClassNames); ++i)
+        if (name == kClassNames[i])
+            return static_cast<ErrorClass>(i);
+    return std::nullopt;
 }
 
 Status::Status(ErrorClass cls, std::string msg)
@@ -87,6 +90,13 @@ Status
 Status::timeout(std::string msg)
 {
     return Status(ErrorClass::Timeout, std::move(msg));
+}
+
+Status
+Status::of(ErrorClass cls, std::string msg)
+{
+    trb_assert(cls != ErrorClass::Ok, "an error needs an error class");
+    return Status(cls, std::move(msg));
 }
 
 std::string

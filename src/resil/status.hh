@@ -24,7 +24,9 @@
 #define TRB_RESIL_STATUS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.hh"
@@ -32,22 +34,43 @@
 namespace trb
 {
 
+/**
+ * The error classes, as X(enumerator, stable lower-case name), in enum
+ * order: the one table.  ErrorClass, errorClassName() and the wire
+ * decoder's lookup, errorClassNamed(), are all made from it.
+ */
+#define TRB_ERROR_CLASSES(X)                                              \
+    X(Ok, "ok")                                                           \
+    /** Stream ended mid-record / short of its promise. */                \
+    X(TruncatedInput, "truncated_input")                                  \
+    /** Bytes present but violate the format rules. */                    \
+    X(CorruptRecord, "corrupt_record")                                    \
+    /** Open/read/write/close failure (retryable). */                     \
+    X(IoError, "io_error")                                                \
+    /** Not the expected file format at all. */                           \
+    X(BadMagic, "bad_magic")                                              \
+    /** A TraceRebase bug surfaced as data. */                            \
+    X(Internal, "internal")                                               \
+    /** A malformed/unsupported request (trb::serve). */                  \
+    X(BadRequest, "bad_request")                                          \
+    /** Bounded queue full; back off and resubmit. */                     \
+    X(Busy, "busy")                                                       \
+    /** Deadline expired / work cancelled (retryable). */                 \
+    X(Timeout, "timeout")
+
 /** What went wrong, at policy granularity. */
 enum class ErrorClass : std::uint8_t
 {
-    Ok = 0,
-    TruncatedInput,   //!< stream ended mid-record / short of its promise
-    CorruptRecord,    //!< bytes present but violate the format rules
-    IoError,          //!< open/read/write/close failure (retryable)
-    BadMagic,         //!< not the expected file format at all
-    Internal,         //!< a TraceRebase bug surfaced as data
-    BadRequest,       //!< a malformed/unsupported request (trb::serve)
-    Busy,             //!< bounded queue full; back off and resubmit
-    Timeout,          //!< deadline expired / work cancelled (retryable)
+#define TRB_ERROR_CLASS_ENUMERATOR(cls, name) cls,
+    TRB_ERROR_CLASSES(TRB_ERROR_CLASS_ENUMERATOR)
+#undef TRB_ERROR_CLASS_ENUMERATOR
 };
 
 /** Stable lower-case name of an error class ("truncated_input", ...). */
 const char *errorClassName(ErrorClass cls);
+
+/** The class errorClassName() names @p name, if there is one. */
+std::optional<ErrorClass> errorClassNamed(std::string_view name);
 
 /** Sentinel for "offset/index not known" in Status diagnostics. */
 constexpr std::uint64_t kNoPosition = ~std::uint64_t{0};
@@ -74,6 +97,8 @@ class Status
     static Status badRequest(std::string msg);
     static Status busy(std::string msg);
     static Status timeout(std::string msg);
+    /** An error of class @p cls, which must not be Ok. */
+    static Status of(ErrorClass cls, std::string msg);
 
     /** Attach the offending file and position. */
     Status &

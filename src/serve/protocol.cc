@@ -542,28 +542,17 @@ statsReplyJson(const std::string &id, double uptimeSeconds,
 namespace
 {
 
-/** Rebuild a Status from its wire rendering (class/message/rule). */
+/**
+ * Rebuild a Status from its wire rendering (class/message/rule).  A
+ * class name this build does not know, or "ok", decodes as internal.
+ */
 Status
 statusFromWire(const std::string &cls, const std::string &message,
                const std::string &rule)
 {
-    Status st;
-    if (cls == "truncated_input")
-        st = Status::truncated(message);
-    else if (cls == "corrupt_record")
-        st = Status::corrupt(message);
-    else if (cls == "io_error")
-        st = Status::ioError(message);
-    else if (cls == "bad_magic")
-        st = Status::badMagic(message);
-    else if (cls == "bad_request")
-        st = Status::badRequest(message);
-    else if (cls == "busy")
-        st = Status::busy(message);
-    else if (cls == "timeout")
-        st = Status::timeout(message);
-    else
-        st = Status::internal(message);
+    const ErrorClass named = errorClassNamed(cls).value_or(ErrorClass::Ok);
+    Status st = Status::of(
+        named == ErrorClass::Ok ? ErrorClass::Internal : named, message);
     if (!rule.empty())
         st.rule(rule);
     return st;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 
 #include "convert/improvements.hh"
 #include "lint/lint.hh"
@@ -34,19 +35,30 @@ hexBits(double value)
     return buf;
 }
 
-void
-appendCacheKey(std::string &key, const char *tag, const CacheParams &c)
+/**
+ * The key spelling of @p value: an integer, bool or enum in decimal; a
+ * cache level's keyed fields joined by '/'; any other parameter struct's
+ * as `tag=value` entries joined by ';', a nested hierarchy's in line.
+ */
+template <typename T>
+std::string
+keyOf(const T &value)
 {
-    key += tag;
-    key += '=';
-    key += std::to_string(c.sizeBytes);
-    key += '/';
-    key += std::to_string(c.ways);
-    key += '/';
-    key += std::to_string(c.latency);
-    key += '/';
-    key += std::to_string(static_cast<unsigned>(c.policy));
-    key += ';';
+    if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+        return std::to_string(static_cast<unsigned long long>(value));
+    } else {
+        constexpr bool level = std::is_same_v<T, CacheParams>;
+        std::string key;
+        T::forEachKeyedParam(value, [&](const char *tag, auto &v) {
+            if (!key.empty())
+                key += level ? '/' : ';';
+            if (!level && !std::is_same_v<std::decay_t<decltype(v)>,
+                                          HierarchyParams>)
+                (key += tag) += '=';
+            key += keyOf(v);
+        });
+        return key;
+    }
 }
 
 /**
@@ -161,42 +173,10 @@ memoized(store::Store *st, const std::string &stats_key, Run run)
 
 } // namespace
 
-// LP64 sizes of the keyed structs.  A new field grows one of them and
-// fails the build here (unless it fits in padding): spell it in
-// coreParamsKey(), add it to StoreKey.CoreParamsKeyCoversEveryField,
-// then update the size.
-static_assert(sizeof(CacheParams) == sizeof(std::string) + 32);
-static_assert(sizeof(HierarchyParams) == 4 * sizeof(CacheParams) + 16);
-static_assert(sizeof(CoreParams) == sizeof(HierarchyParams) + 72);
-
 std::string
 coreParamsKey(const CoreParams &p)
 {
-    std::string key;
-    key += "fw=" + std::to_string(p.fetchWidth);
-    key += ";iw=" + std::to_string(p.issueWidth);
-    key += ";rw=" + std::to_string(p.retireWidth);
-    key += ";rob=" + std::to_string(p.robSize);
-    key += ";fd=" + std::to_string(p.frontendDepth);
-    key += ";mp=" + std::to_string(p.mispredictPenalty);
-    key += ";drp=" + std::to_string(p.decodeRedirectPenalty);
-    key += ";dfe=" + std::to_string(p.decoupledFrontEnd ? 1 : 0);
-    key += ";ftq=" + std::to_string(p.ftqLookahead);
-    key += ";it=" + std::to_string(p.idealTargets ? 1 : 0);
-    key += ";rules=" + std::to_string(static_cast<int>(p.rules));
-    key += ";dir=" + std::to_string(static_cast<int>(p.dirPred));
-    key += ";btb=" + std::to_string(p.btbEntries);
-    key += ";btbw=" + std::to_string(p.btbWays);
-    key += ";ras=" + std::to_string(p.rasEntries);
-    key += ';';
-    appendCacheKey(key, "l1i", p.mem.l1i);
-    appendCacheKey(key, "l1d", p.mem.l1d);
-    appendCacheKey(key, "l2", p.mem.l2);
-    appendCacheKey(key, "llc", p.mem.llc);
-    key += "dram=" + std::to_string(p.mem.dramLatency);
-    key += ";l1dpf=" + std::to_string(p.mem.l1dIpStride ? 1 : 0);
-    key += ";l2pf=" + std::to_string(p.mem.l2NextLine ? 1 : 0);
-    return key;
+    return keyOf(p);
 }
 
 CoreParams

@@ -152,10 +152,10 @@ SimResult simulate(ChampSimView trace, const SimRequest &req = {});
  * Canonical spelling of every CoreParams field, nested cache and memory
  * parameters included.  Exhaustive on purpose: a field missing here
  * would alias two different configurations onto one store artifact, and
- * a warm store would keep serving the wrong one.  Size static_asserts
- * beside the definition fail the build when an added field grows the
- * structs, and StoreKey.CoreParamsKeyCoversEveryField changes each
- * field in turn.
+ * a warm store would keep serving the wrong one.  So it walks the field
+ * lists (common/param_list.hh) that declare the structs: `tag=value`
+ * entries joined by ';', a cache level `tag=size/ways/latency/policy`.
+ * StoreKey.CoreParamsKeyCoversEveryField edits every listed field.
  */
 std::string coreParamsKey(const CoreParams &params);
 

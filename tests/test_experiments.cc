@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -154,6 +155,46 @@ TEST(PaperDirections, CallStackFixesReturnMpkiOnBlrTraces)
         EXPECT_LT(fixed.returnMpki(), orig.returnMpki() / 10.0);
         EXPECT_GT(fixed.ipc(), orig.ipc());
     }
+}
+
+/**
+ * The paper's Figure 4 over the whole CVP-1 suite: base-update's speedup
+ * grows with the fraction of writeback (base-updating) loads, so the
+ * densest quartile of traces gains more on average than the sparsest.
+ * The whole suite, because one outlier flips the reduced suite's
+ * 15 traces.
+ */
+TEST(PaperDirections, BaseUpdateSpeedupRisesWithWritebackDensity)
+{
+    struct Point
+    {
+        double density;
+        double speedup;
+    };
+    std::vector<Point> points;
+    for (const TraceSpec &spec : cvp1PublicSuite(30000)) {
+        CvpTrace cvp = TraceGenerator(spec.params).generate(spec.length);
+        SimStats orig = simulate(cvp, {.imps = kImpNone}).stats;
+        SimStats fixed = simulate(cvp, {.imps = kImpBaseUpdate}).stats;
+        points.push_back(
+            {writebackLoadFraction(cvp), fixed.ipc() / orig.ipc() - 1.0});
+    }
+    std::sort(points.begin(), points.end(),
+              [](const Point &a, const Point &b) {
+                  return a.density < b.density;
+              });
+
+    const std::size_t q = points.size() / 4;
+    ASSERT_GT(q, 0u);
+    double lowest = 0.0, highest = 0.0;
+    for (std::size_t i = 0; i < q; ++i) {
+        lowest += points[i].speedup / static_cast<double>(q);
+        highest += points[points.size() - 1 - i].speedup /
+                   static_cast<double>(q);
+    }
+    EXPECT_GT(highest, lowest)
+        << "mean speedup, lowest-density quartile " << 100.0 * lowest
+        << "%, highest " << 100.0 * highest << "%";
 }
 
 TEST(PaperDirections, BaseUpdateShrinksMpkisViaInflation)

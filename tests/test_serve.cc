@@ -332,17 +332,43 @@ TEST(ServeProtocol, SimReplyCarriesExactStatBits)
 
 TEST(ServeProtocol, ErrorReplyRoundTripsTheTaxonomy)
 {
-    std::string json = serve::errorReplyJson(
-        "sim", "id9",
-        Status::busy("queue full").rule("serve.queue-bound"));
+    // Every class but Ok, from the status module's one table: a class
+    // the decoder missed would come back as internal, which can flip
+    // retryable().
+    const ErrorClass classes[] = {
+#define TRB_EVERY_CLASS(cls, name) ErrorClass::cls,
+        TRB_ERROR_CLASSES(TRB_EVERY_CLASS)
+#undef TRB_EVERY_CLASS
+    };
+    for (ErrorClass cls : classes) {
+        if (cls == ErrorClass::Ok)
+            continue;
+        SCOPED_TRACE(errorClassName(cls));
+        const Status sent =
+            Status::of(cls, std::string("went ") + errorClassName(cls))
+                .rule("serve.queue-bound");
+        ServeReply reply;
+        ASSERT_TRUE(serve::parseReply(
+                        serve::errorReplyJson("sim", "id9", sent), reply)
+                        .ok());
+        EXPECT_FALSE(reply.ok);
+        EXPECT_EQ("sim", reply.op);
+        EXPECT_EQ("id9", reply.id);
+        EXPECT_EQ(cls, reply.error.errorClass());
+        EXPECT_EQ(sent.message(), reply.error.message());
+        EXPECT_EQ("serve.queue-bound", reply.error.ruleViolated());
+        EXPECT_EQ(sent.retryable(), reply.error.retryable());
+    }
+
+    // A class this build does not know decodes as internal.
     ServeReply reply;
-    ASSERT_TRUE(serve::parseReply(json, reply).ok());
-    EXPECT_FALSE(reply.ok);
-    EXPECT_EQ("sim", reply.op);
-    EXPECT_EQ("id9", reply.id);
-    EXPECT_EQ(ErrorClass::Busy, reply.error.errorClass());
-    EXPECT_EQ("serve.queue-bound", reply.error.ruleViolated());
-    EXPECT_TRUE(reply.error.retryable());
+    ASSERT_TRUE(serve::parseReply(
+                    R"({"ok": false, "op": "sim", "id": "x", "error": )"
+                    R"({"class": "quota", "message": "m"}})",
+                    reply)
+                    .ok());
+    EXPECT_EQ(ErrorClass::Internal, reply.error.errorClass());
+    EXPECT_EQ("m", reply.error.message());
 }
 
 // ---------------------------------------------------------------------
@@ -539,21 +565,30 @@ TEST_F(ServeDaemonTest, DeeplyNestedFrameGetsTypedReplyAndKeepsConn)
     ASSERT_GE(fd, 0);
 
     // ~1 MiB of '[' fits a frame; unbounded, the reader's recursion
-    // would exhaust the reader thread's stack or the heap.
-    ASSERT_TRUE(serve::writeFrame(fd, std::string(1u << 20, '[')).ok());
-    std::string payload;
-    ASSERT_TRUE(serve::readFrame(fd, payload).ok());
-    ServeReply reply;
-    ASSERT_TRUE(serve::parseReply(payload, reply).ok()) << payload;
-    EXPECT_FALSE(reply.ok);
-    EXPECT_EQ(ErrorClass::BadRequest, reply.error.errorClass());
-    EXPECT_EQ("serve.json", reply.error.ruleViolated());
+    // would exhaust the reader thread's stack or the heap.  A 4 MiB
+    // frame of 2 M zeros is as wide as a frame gets; unbounded, its
+    // flattening took ~40 times the frame's size.
+    std::string wide = "[0";
+    while (wide.size() + 3 <= serve::kMaxFrameBytes)
+        wide += ",0";
+    wide += "]";
+    for (const std::string &frame : {std::string(1u << 20, '['), wide}) {
+        SCOPED_TRACE(frame.size());
+        ASSERT_TRUE(serve::writeFrame(fd, frame).ok());
+        std::string payload;
+        ASSERT_TRUE(serve::readFrame(fd, payload).ok());
+        ServeReply reply;
+        ASSERT_TRUE(serve::parseReply(payload, reply).ok()) << payload;
+        EXPECT_FALSE(reply.ok);
+        EXPECT_EQ(ErrorClass::BadRequest, reply.error.errorClass());
+        EXPECT_EQ("serve.json", reply.error.ruleViolated());
 
-    ASSERT_TRUE(serve::writeFrame(fd, "{\"op\": \"ping\"}").ok());
-    ASSERT_TRUE(serve::readFrame(fd, payload).ok());
-    ASSERT_TRUE(serve::parseReply(payload, reply).ok()) << payload;
-    EXPECT_TRUE(reply.ok);
-    EXPECT_EQ("ping", reply.op);
+        ASSERT_TRUE(serve::writeFrame(fd, "{\"op\": \"ping\"}").ok());
+        ASSERT_TRUE(serve::readFrame(fd, payload).ok());
+        ASSERT_TRUE(serve::parseReply(payload, reply).ok()) << payload;
+        EXPECT_TRUE(reply.ok);
+        EXPECT_EQ("ping", reply.op);
+    }
     ::close(fd);
     daemon.stop();
 }

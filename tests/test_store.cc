@@ -11,14 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -459,80 +460,57 @@ TEST_F(StoreTest, SimulateKeySeparatesConfigurations)
 }
 
 /**
+ * Edit each keyed field of @p params in turn, call @p fn(label) and
+ * undo the edit: integers are bumped, bools flipped and enums moved
+ * between the enumerators 0 and 1, which every keyed enum has.
+ */
+template <typename Params, typename Fn>
+void
+forEachFieldEdit(Params &params, const std::string &label, Fn &fn)
+{
+    Params::forEachKeyedParam(params, [&](const char *tag, auto &v) {
+        using T = std::remove_reference_t<decltype(v)>;
+        if constexpr (std::is_class_v<T>) {
+            forEachFieldEdit(v, label + tag + ".", fn);
+        } else {
+            const T old = v;
+            if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>)
+                ++v;
+            else
+                v = static_cast<T>(v == T{});
+            fn(label + tag);
+            v = old;
+        }
+    });
+}
+
+/**
  * The store key is all that keeps two configurations' results apart, so
  * every field of CoreParams, HierarchyParams and each level's
  * CacheParams must move coreParamsKey() on its own.
  */
 TEST(StoreKey, CoreParamsKeyCoversEveryField)
 {
-    using Edit = std::function<void(CoreParams &)>;
-    std::vector<std::pair<std::string, Edit>> edits = {
-        {"fetchWidth", [](CoreParams &p) { ++p.fetchWidth; }},
-        {"issueWidth", [](CoreParams &p) { ++p.issueWidth; }},
-        {"retireWidth", [](CoreParams &p) { ++p.retireWidth; }},
-        {"robSize", [](CoreParams &p) { ++p.robSize; }},
-        {"frontendDepth", [](CoreParams &p) { ++p.frontendDepth; }},
-        {"mispredictPenalty", [](CoreParams &p) { ++p.mispredictPenalty; }},
-        {"decodeRedirectPenalty",
-         [](CoreParams &p) { ++p.decodeRedirectPenalty; }},
-        {"decoupledFrontEnd",
-         [](CoreParams &p) { p.decoupledFrontEnd = !p.decoupledFrontEnd; }},
-        {"ftqLookahead", [](CoreParams &p) { ++p.ftqLookahead; }},
-        {"idealTargets",
-         [](CoreParams &p) { p.idealTargets = !p.idealTargets; }},
-        {"rules", [](CoreParams &p) { p.rules = DeductionRules::Original; }},
-        {"dirPred", [](CoreParams &p) { p.dirPred = DirPredKind::Gshare; }},
-        {"btbEntries", [](CoreParams &p) { p.btbEntries *= 2; }},
-        {"btbWays", [](CoreParams &p) { ++p.btbWays; }},
-        {"rasEntries", [](CoreParams &p) { ++p.rasEntries; }},
-        {"mem.dramLatency", [](CoreParams &p) { ++p.mem.dramLatency; }},
-        {"mem.l1dIpStride",
-         [](CoreParams &p) { p.mem.l1dIpStride = !p.mem.l1dIpStride; }},
-        {"mem.l2NextLine",
-         [](CoreParams &p) { p.mem.l2NextLine = !p.mem.l2NextLine; }},
-    };
-    const std::pair<const char *, CacheParams HierarchyParams::*> levels[] = {
-        {"l1i", &HierarchyParams::l1i},
-        {"l1d", &HierarchyParams::l1d},
-        {"l2", &HierarchyParams::l2},
-        {"llc", &HierarchyParams::llc},
-    };
-    for (const auto &[name, level] : levels) {
-        const std::string at = std::string("mem.") + name + ".";
-        edits.emplace_back(at + "sizeBytes", [level = level](CoreParams &p) {
-            (p.mem.*level).sizeBytes *= 2;
-        });
-        edits.emplace_back(at + "ways", [level = level](CoreParams &p) {
-            ++(p.mem.*level).ways;
-        });
-        edits.emplace_back(at + "latency", [level = level](CoreParams &p) {
-            ++(p.mem.*level).latency;
-        });
-        edits.emplace_back(at + "policy", [level = level](CoreParams &p) {
-            CacheParams &c = p.mem.*level;
-            c.policy = c.policy == ReplPolicy::Lru ? ReplPolicy::Srrip
-                                                   : ReplPolicy::Lru;
-        });
-    }
-    // 15 core fields, 3 hierarchy scalars, 4 levels x 4 cache fields.
-    ASSERT_EQ(edits.size(), 15u + 3u + 4u * 4u);
-
-    const std::string base = coreParamsKey(CoreParams{});
+    CoreParams p;
+    const std::string base = coreParamsKey(p);
     std::map<std::string, std::string> field_of_key;
-    for (const auto &[field, edit] : edits) {
-        CoreParams p;
-        edit(p);
+    auto check = [&](const std::string &field) {
         const std::string key = coreParamsKey(p);
         EXPECT_NE(key, base) << field << " is missing from the key";
         const auto [it, fresh] = field_of_key.emplace(key, field);
         EXPECT_TRUE(fresh) << field << " and " << it->second
                            << " share a key";
-    }
+    };
+    forEachFieldEdit(p, "", check);
+    // One edit per value the key spells, after each '=' or '/'.
+    EXPECT_EQ(field_of_key.size(),
+              static_cast<std::size_t>(std::count_if(
+                  base.begin(), base.end(),
+                  [](char c) { return c == '=' || c == '/'; })));
 
     // The cache name is a label for reports, not a parameter.
-    CoreParams renamed;
-    renamed.mem.l2.name = "other";
-    EXPECT_EQ(coreParamsKey(renamed), base);
+    p.mem.l2.name = "other";
+    EXPECT_EQ(coreParamsKey(p), base);
 }
 
 /**

@@ -143,6 +143,36 @@ TEST(JsonFlat, NestingDeeperThanTheLimitFails)
     error.clear();
     EXPECT_FALSE(parseJson(objects(kMaxJsonDepth + 1), doc, &error));
     EXPECT_NE(error.find(want), std::string::npos) << error;
+
+    // Width too: every leaf is a map node and a path string.
+    auto zeros = [](std::size_t leaves) {
+        std::string s = "[0";
+        for (std::size_t i = 1; i < leaves; ++i)
+            s += ",0";
+        return s + "]";
+    };
+    ASSERT_TRUE(parseJson(zeros(kMaxJsonLeaves), doc, &error)) << error;
+    EXPECT_EQ(doc.numbers.size(), kMaxJsonLeaves);
+    error.clear();
+    EXPECT_FALSE(parseJson(zeros(kMaxJsonLeaves + 1), doc, &error));
+    EXPECT_NE(error.find("more than " + std::to_string(kMaxJsonLeaves) +
+                         " leaves"),
+              std::string::npos)
+        << error;
+
+    // And length: each leaf holds a copy of its path.
+    auto keyed = [](std::size_t bytes) {
+        return "{\"" + std::string(bytes, 'k') + "\": [0, 0]}";
+    };
+    ASSERT_TRUE(parseJson(keyed(kMaxJsonPathBytes - 2), doc, &error))
+        << error;
+    EXPECT_EQ(doc.numbers.size(), 2u);
+    error.clear();
+    EXPECT_FALSE(parseJson(keyed(kMaxJsonPathBytes - 1), doc, &error));
+    EXPECT_NE(error.find("path longer than " +
+                         std::to_string(kMaxJsonPathBytes) + " bytes"),
+              std::string::npos)
+        << error;
 }
 
 TEST(JsonFlat, RoundTripsTheMetricsExporter)
