@@ -1,7 +1,6 @@
 #include "par/thread_pool.hh"
 
 #include "common/env.hh"
-#include "common/logging.hh"
 
 namespace trb
 {
@@ -47,14 +46,6 @@ struct ThreadPool::ForLoop
     std::exception_ptr error;    //!< first failure, guarded by mutex
     std::mutex mutex;
     std::condition_variable done;
-
-    /**
-     * Detached (submit()) loops own their function and have no driver
-     * blocked on @c done: the finishing task deletes the loop instead
-     * of notifying, and an escaping exception is logged, not rethrown.
-     */
-    std::function<void(std::size_t)> ownedFn;
-    bool detached = false;
 };
 
 ThreadPool::ThreadPool(std::size_t jobs) : jobs_(jobs == 0 ? 1 : jobs)
@@ -87,30 +78,14 @@ ThreadPool::runTask(ForLoop *loop, std::size_t index)
     } catch (...) {
         err = std::current_exception();
     }
-    if (err && loop->detached) {
-        try {
-            std::rethrow_exception(err);
-        } catch (const std::exception &e) {
-            trb_warn("detached pool task threw: ", e.what());
-        } catch (...) {
-            trb_warn("detached pool task threw a non-std exception");
-        }
-    }
-    // For driver-owned loops the driver may destroy the ForLoop the
-    // moment it observes completed == total, so nothing may touch
-    // *loop after the final increment; read the immutable flag first.
-    const bool detached = loop->detached;
-    bool last = false;
-    {
-        std::lock_guard<std::mutex> lock(loop->mutex);
-        if (err && !loop->error)
-            loop->error = err;
-        last = ++loop->completed == loop->total;
-        if (last && !detached)
-            loop->done.notify_all();
-    }
-    if (last && detached)
-        delete loop;
+    // parallelFor()'s caller may destroy the ForLoop the moment it
+    // observes completed == total, so the notify happens inside the
+    // critical section and nothing touches *loop after it.
+    std::lock_guard<std::mutex> lock(loop->mutex);
+    if (err && !loop->error)
+        loop->error = err;
+    if (++loop->completed == loop->total)
+        loop->done.notify_all();
 }
 
 bool
@@ -211,67 +186,6 @@ ThreadPool::parallelFor(std::size_t n,
     }
     if (loop.error)
         std::rethrow_exception(loop.error);
-}
-
-void
-ThreadPool::submit(std::function<void()> fn)
-{
-    if (jobs_ == 1) {
-        // The exact serial path: run inline before returning, matching
-        // parallelFor()'s TRB_JOBS=1 behaviour.
-        try {
-            fn();
-        } catch (const std::exception &e) {
-            trb_warn("detached pool task threw: ", e.what());
-        } catch (...) {
-            trb_warn("detached pool task threw a non-std exception");
-        }
-        return;
-    }
-
-    auto *loop = new ForLoop;
-    loop->ownedFn = [f = std::move(fn)](std::size_t) { f(); };
-    loop->fn = &loop->ownedFn;
-    loop->total = 1;
-    loop->detached = true;
-
-    // Seed the queues round-robin (skipping queue 0, which has no
-    // dedicated thread); work stealing rebalances from there.
-    const std::size_t cursor =
-        submitCursor_.fetch_add(1, std::memory_order_relaxed);
-    WorkerQueue &queue = *queues_[1 + cursor % (jobs_ - 1)];
-    {
-        std::lock_guard<std::mutex> lock(queue.mutex);
-        queue.tasks.emplace_back(loop, 0);
-    }
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
-    }
-    sleepCv_.notify_all();
-}
-
-void
-ThreadPool::submit(std::function<void()> fn,
-                   const std::atomic<bool> *cancel,
-                   std::function<void()> onCancel)
-{
-    if (!cancel) {
-        submit(std::move(fn));
-        return;
-    }
-    // The flag is tested when the task is *popped*, not when it is
-    // queued: a cancellation that lands while the task waits in a deque
-    // still skips the work.
-    submit([fn = std::move(fn), cancel,
-            onCancel = std::move(onCancel)] {
-        if (cancel->load(std::memory_order_relaxed)) {
-            if (onCancel)
-                onCancel();
-            return;
-        }
-        fn();
-    });
 }
 
 std::uint64_t

@@ -21,6 +21,11 @@
  * Exceptions thrown by loop bodies are captured; the first one (in
  * completion order) is rethrown from parallelFor() on the calling thread
  * after every index has run or been abandoned by its thrower.
+ *
+ * Fork-join only: every task belongs to a parallelFor() whose caller
+ * waits for it.  Long-lived request serving is not a loop and does not
+ * run here; the serving daemon keeps its own worker threads
+ * (serve/server.hh) and reads only jobs() from the pool it is given.
  */
 
 #ifndef TRB_PAR_THREAD_POOL_HH
@@ -79,44 +84,6 @@ class ThreadPool
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &fn);
-
-    /**
-     * Enqueue one detached task: @p fn runs once, on some pool worker,
-     * as soon as a worker is free.  Returns immediately -- completion is
-     * the task's own business (signal through whatever state it closes
-     * over).  With jobs() == 1 the task runs inline on the caller before
-     * submit() returns, preserving the TRB_JOBS=1 exact-serial contract.
-     *
-     * With jobs() == N > 1 the task is seeded onto queues 1..N-1 in
-     * turn.  Queue 0 belongs to the thread driving parallelFor(), and a
-     * submitter that never drives one (the serving daemon) leaves it
-     * idle, so detached tasks execute on N - 1 threads: a daemon at
-     * TRB_JOBS=2 executes on one pool thread.
-     *
-     * Unlike parallelFor(), nobody waits to rethrow: an escaping
-     * exception is logged as a warning and swallowed, so submitters that
-     * care must catch inside @p fn.  This is the serving layer's entry
-     * point (trb::serve dispatches one accepted request per submit());
-     * batch sweeps should keep using parallelFor()/parallelMap().
-     */
-    void submit(std::function<void()> fn);
-
-    /**
-     * Cancellation-aware submit(): when the task is popped for
-     * execution, @p cancel is tested first (one relaxed load) -- if it
-     * has been set, @p onCancel runs instead of @p fn, so
-     * queued-but-unstarted work cancels without burning a worker on it.
-     * Work already *running* is not interrupted; long tasks poll their
-     * own token cooperatively (see resil/cancel.hh -- the pool takes a
-     * raw `const std::atomic<bool> *` so trb_par stays independent of
-     * trb_resil; pass `&token.flag()`).  A null @p cancel degrades to
-     * the plain submit().  The TRB_JOBS=1 inline path honours the flag
-     * too.  @p cancel must outlive the task; closing the flag's owner
-     * into @p fn/@p onCancel (e.g. a shared_ptr) is the usual way.
-     */
-    void submit(std::function<void()> fn,
-                const std::atomic<bool> *cancel,
-                std::function<void()> onCancel = {});
 
     /**
      * Map @p items through @p fn in parallel, returning results in
@@ -183,7 +150,6 @@ class ThreadPool
     std::size_t jobs_;
     std::vector<std::unique_ptr<WorkerQueue>> queues_;
     std::vector<std::thread> threads_;
-    std::atomic<std::size_t> submitCursor_{0};   //!< spreads submit()s
 
     std::mutex sleepMutex_;
     std::condition_variable sleepCv_;

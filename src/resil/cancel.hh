@@ -3,10 +3,11 @@
  * Cooperative cancellation and deadlines for long-running simulations.
  *
  * A CancelToken is a one-way latch: once cancel()ed it stays cancelled.
- * Pollers (the O3Core hot loop, the serve dispatcher) test it with one
- * relaxed atomic load -- cheap enough to check every few thousand
- * retired instructions -- and bail out by throwing CancelledError,
- * which the owning layer translates into a typed `timeout` Status.
+ * Pollers (the O3Core hot loop, a serve worker before it simulates)
+ * test it with one relaxed atomic load -- cheap enough to check every
+ * few thousand retired instructions -- and bail out by throwing
+ * CancelledError, which the owning layer translates into a typed
+ * `timeout` Status.
  *
  * A Deadline is an absolute point on the *monotonic* clock
  * (std::chrono::steady_clock): wall-clock jumps -- NTP steps, suspend
@@ -46,7 +47,8 @@ class CancelledError : public std::runtime_error
  * One-way cancellation latch.  cancelled() is wait-free (one relaxed
  * load); cancel() may be called from any thread, any number of times
  * (the first reason wins).  Not copyable: share via pointer --
- * the serve daemon hands out shared_ptr<CancelToken> per request.
+ * the serve daemon makes one shared_ptr<CancelToken> per running sim,
+ * held by the worker and by the watchdog's in-flight map.
  */
 class CancelToken
 {
@@ -71,12 +73,6 @@ class CancelToken
 
     /** Throw CancelledError(reason) if the token has fired. */
     void throwIfCancelled() const;
-
-    /**
-     * The raw flag, for layers that must not depend on trb::resil
-     * (par::ThreadPool::submit takes a `const std::atomic<bool> *`).
-     */
-    const std::atomic<bool> &flag() const { return cancelled_; }
 
   private:
     std::atomic<bool> cancelled_{false};

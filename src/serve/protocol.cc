@@ -577,13 +577,13 @@ parseReply(const std::string &json, ServeReply &out)
     out.id = out.raw.str("id");
 
     if (!out.ok) {
+        if (!out.raw.strings.count("error/class"))
+            return Status::corrupt(
+                       "error reply lacks an \"error/class\" string")
+                .rule("serve.reply");
         out.error = statusFromWire(out.raw.str("error/class"),
                                    out.raw.str("error/message"),
                                    out.raw.str("error/rule"));
-        if (out.error.ok())
-            return Status::corrupt(
-                       "error reply lacks an \"error\" object")
-                .rule("serve.reply");
         return Status{};
     }
 

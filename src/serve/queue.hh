@@ -11,8 +11,9 @@
  * heap of parsed requests.
  *
  * Header-only and deliberately dumb: one mutex, no condition variable.
- * The daemon's dispatcher owns the blocking (it sleeps on its own cv
- * and is poked by push()), and the tests drive the queue directly.
+ * The daemon's workers own the blocking (they sleep on the daemon's cv,
+ * which a reader pokes after each push()), and the tests drive the
+ * queue directly.
  */
 
 #ifndef TRB_SERVE_QUEUE_HH

@@ -54,11 +54,9 @@ ServeConfig::fromEnv()
 
 ServeDaemon::ServeDaemon(ServeConfig cfg, par::ThreadPool *pool)
     : cfg_(std::move(cfg)),
-      pool_(pool ? pool : &par::ThreadPool::global()),
+      jobs_(pool ? pool->jobs() : par::jobsFromEnv()),
       queue_(cfg_.queueBound)
 {
-    maxInflight_ =
-        cfg_.maxInflight ? cfg_.maxInflight : pool_->jobs();
 }
 
 ServeDaemon::~ServeDaemon()
@@ -127,12 +125,15 @@ ServeDaemon::start()
     reg().setGauge("serve.queue_depth", 0.0);
     reg().setGauge("serve.inflight_age_ms", 0.0);
     acceptThread_ = std::thread([this] { acceptLoop(); });
-    dispatchThread_ = std::thread([this] { dispatchLoop(); });
+    // One worker per job beyond the first, and at least one.
+    const std::size_t workers = jobs_ > 1 ? jobs_ - 1 : 1;
+    for (std::size_t i = 0; i < workers; ++i)
+        workers_.emplace_back([this] { workerLoop(); });
     if (cfg_.watchdogMs > 0)
         watchdogThread_ = std::thread([this] { watchdogLoop(); });
     trb_inform("trace_served listening on ", cfg_.socketPath,
-               " (jobs ", pool_->jobs(), ", queue ", cfg_.queueBound,
-               ", watchdog ", cfg_.watchdogMs, " ms)");
+               " (jobs ", jobs_, ", workers ", workers, ", queue ",
+               cfg_.queueBound, ", watchdog ", cfg_.watchdogMs, " ms)");
     return Status{};
 }
 
@@ -142,13 +143,13 @@ ServeDaemon::stop()
     if (!running_)
         return;
     {
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
+        std::lock_guard<std::mutex> lock(queueMutex_);
         stopping_ = true;
     }
     {
         std::lock_guard<std::mutex> lock(watchdogMutex_);
     }
-    dispatchCv_.notify_all();
+    queueCv_.notify_all();
     watchdogCv_.notify_all();
 
     // Unblock accept(); on Linux a shutdown listening socket returns
@@ -156,11 +157,24 @@ ServeDaemon::stop()
     ::shutdown(listenFd_, SHUT_RDWR);
     acceptThread_.join();
 
-    // The dispatcher answers everything still queued with a typed busy
-    // reply, then exits once nothing is inflight.  The watchdog stays
-    // alive until after that wait: it is what cancels deadline-bound
+    // Workers pop nothing more: everything still queued gets a typed
+    // shutdown-busy reply before anything is waited on.
+    Job job;
+    while (queue_.pop(job)) {
+        sendReply(job.conn,
+                  errorReplyJson("sim", job.req.id,
+                                 Status::busy("server shutting down")
+                                     .rule("serve.shutdown")));
+        job.conn->pendingJobs.fetch_sub(1);
+    }
+    reg().setGauge("serve.queue_depth", 0.0);
+
+    // Let the workers finish the sims they are running.  The watchdog
+    // stays alive until they have: it is what cancels deadline-bound
     // work that would otherwise hold shutdown hostage.
-    dispatchThread_.join();
+    for (std::thread &worker : workers_)
+        worker.join();
+    workers_.clear();
     if (watchdogThread_.joinable())
         watchdogThread_.join();
 
@@ -180,9 +194,8 @@ ServeDaemon::stop()
         conns_.clear();
     }
 
-    // Late pushes that raced the dispatcher's drain go unanswered (the
-    // peer is gone); discard them so nothing dangles.
-    Job job;
+    // Late pushes that raced the drain go unanswered (the peer is
+    // gone); discard them so nothing dangles.
     while (queue_.pop(job)) {
     }
 
@@ -324,8 +337,7 @@ ServeDaemon::readerLoop(Conn *conn)
             sendReply(conn, pingReplyJson(req.id, uptimeSeconds()));
             break;
           case Op::Stats:
-            sendReply(conn, statsReplyJson(req.id, uptimeSeconds(),
-                                           pool_->jobs(),
+            sendReply(conn, statsReplyJson(req.id, uptimeSeconds(), jobs_,
                                            cfg_.queueBound));
             break;
           case Op::Sim: {
@@ -335,7 +347,6 @@ ServeDaemon::readerLoop(Conn *conn)
             Job job;
             job.conn = conn;
             job.req = std::move(req);
-            job.token = std::make_shared<resil::CancelToken>();
             // The deadline clock starts at admission: queueing time
             // counts against the client's budget.
             if (job.req.deadlineMs > 0)
@@ -358,11 +369,11 @@ ServeDaemon::readerLoop(Conn *conn)
             reg().setGauge("serve.queue_depth",
                            static_cast<double>(queue_.depth()));
             // Touch the mutex before notifying so the wake-up cannot
-            // slip between the dispatcher's predicate and its wait.
+            // slip between a worker's predicate and its wait.
             {
-                std::lock_guard<std::mutex> lock(dispatchMutex_);
+                std::lock_guard<std::mutex> lock(queueMutex_);
             }
-            dispatchCv_.notify_all();
+            queueCv_.notify_one();
             break;
           }
         }
@@ -380,155 +391,108 @@ ServeDaemon::readerLoop(Conn *conn)
 }
 
 void
-ServeDaemon::dispatchLoop()
+ServeDaemon::workerLoop()
 {
     for (;;) {
+        Job job;
         {
-            std::unique_lock<std::mutex> lock(dispatchMutex_);
-            dispatchCv_.wait(lock, [this] {
-                return stopping_.load() ||
-                       (queue_.depth() > 0 &&
-                        inflight_.load() < maxInflight_);
+            std::unique_lock<std::mutex> lock(queueMutex_);
+            queueCv_.wait(lock, [this] {
+                return stopping_.load() || queue_.depth() > 0;
             });
+            // stop() answers whatever is still queued.
             if (stopping_)
-                break;
+                return;
+            // Only workers pop before stopping_, all under this lock, so
+            // the depth just seen is still there.
+            queue_.pop(job);
+            reg().setGauge("serve.queue_depth",
+                           static_cast<double>(queue_.depth()));
         }
-        Job popped;
-        if (!queue_.pop(popped))
-            continue;
-        reg().setGauge("serve.queue_depth",
-                       static_cast<double>(queue_.depth()));
-        auto job = std::make_shared<Job>(std::move(popped));
 
-        // A peer already declared dead cannot receive any reply: drop
-        // the work instead of computing an answer for nobody.
-        if (job->conn->dead.load(std::memory_order_relaxed)) {
+        if (job.conn->dead.load(std::memory_order_relaxed)) {
+            // A peer already declared dead cannot receive any reply:
+            // drop the work instead of computing an answer for nobody.
             reg().addCounter("serve.dropped.dead");
-            job->conn->pendingJobs.fetch_sub(1);
-            continue;
-        }
-        // A deadline that expired while queued is answered without
-        // burning a worker.
-        if (job->deadline.expired()) {
+        } else if (job.deadline.expired()) {
+            // A deadline that expired while queued is answered without
+            // simulating.
             reg().addCounter("serve.timeout.queued");
-            sendReply(job->conn,
+            sendReply(job.conn,
                       errorReplyJson(
-                          "sim", job->req.id,
+                          "sim", job.req.id,
                           Status::timeout(
                               "deadline of " +
-                              std::to_string(job->req.deadlineMs) +
+                              std::to_string(job.req.deadlineMs) +
                               " ms expired while queued")
                               .rule("serve.deadline")));
-            job->conn->pendingJobs.fetch_sub(1);
-            continue;
+        } else {
+            runSim(job);
         }
-
-        inflight_.fetch_add(1);
-        reg().setGauge("serve.inflight",
-                       static_cast<double>(inflight_.load()));
-        const std::uint64_t seq = seq_.fetch_add(1) + 1;
-        {
-            std::lock_guard<std::mutex> lock(inflightMutex_);
-            inflightMap_.emplace(
-                seq, Inflight{job->conn, job->req.id,
-                              std::chrono::steady_clock::now(),
-                              job->deadline, job->token, false});
-        }
-        // The cancel flag is re-tested when a pool worker picks the
-        // task up: work cancelled while pool-queued never starts.
-        pool_->submit([this, job, seq] { runSim(job, seq); },
-                      &job->token->flag(),
-                      [this, job, seq] {
-                          cancelledBeforeStart(job, seq);
-                      });
-    }
-
-    // Drain: everything still queued gets a typed shutdown-busy reply.
-    Job job;
-    while (queue_.pop(job)) {
-        sendReply(job.conn,
-                  errorReplyJson("sim", job.req.id,
-                                 Status::busy("server shutting down")
-                                     .rule("serve.shutdown")));
         job.conn->pendingJobs.fetch_sub(1);
     }
-    reg().setGauge("serve.queue_depth", 0.0);
-
-    // Wait for inflight simulations to flush their replies.
-    std::unique_lock<std::mutex> lock(dispatchMutex_);
-    dispatchCv_.wait(lock, [this] { return inflight_.load() == 0; });
 }
 
 void
-ServeDaemon::runSim(std::shared_ptr<Job> job, std::uint64_t seq)
+ServeDaemon::runSim(const Job &job)
 {
+    // Only sims that run take a seq, so the seqs have no gaps.
+    const std::uint64_t seq = seq_.fetch_add(1) + 1;
+    auto token = std::make_shared<resil::CancelToken>();
+    {
+        std::lock_guard<std::mutex> lock(inflightMutex_);
+        inflightMap_.emplace(seq, Inflight{job.conn, job.req.id,
+                                           std::chrono::steady_clock::now(),
+                                           job.deadline, token, false});
+        reg().setGauge("serve.inflight",
+                       static_cast<double>(inflightMap_.size()));
+    }
+
+    // Every admitted sim gets exactly one reply, whatever it throws.
     std::string reply;
-    Expected<CvpTrace> trace = resolveTrace(job->req);
-    if (!trace.ok()) {
-        reply = errorReplyJson("sim", job->req.id, trace.status());
-    } else {
-        try {
-            job->token->throwIfCancelled();
+    try {
+        Expected<CvpTrace> trace = resolveTrace(job.req);
+        if (!trace.ok()) {
+            reply = errorReplyJson("sim", job.req.id, trace.status());
+        } else {
+            token->throwIfCancelled();
             SimResult result =
                 simulate(trace.value(),
                          SimRequest{
-                             .imps = job->req.imps,
-                             .params = job->req.ipc1 ? ipc1Config()
-                                                     : modernConfig(),
-                             .warmupFraction = job->req.warmupFraction,
-                             .useStore = job->req.useStore,
-                             .cancel = job->token.get(),
+                             .imps = job.req.imps,
+                             .params = job.req.ipc1 ? ipc1Config()
+                                                    : modernConfig(),
+                             .warmupFraction = job.req.warmupFraction,
+                             .useStore = job.req.useStore,
+                             .cancel = token.get(),
                          });
-            reply = simReplyJson(job->req.id, result, seq);
+            reply = simReplyJson(job.req.id, result, seq);
             served_.fetch_add(1);
             reg().addCounter("serve.served");
-        } catch (const resil::CancelledError &e) {
-            reg().addCounter("serve.timeout.cancelled");
-            reply = errorReplyJson("sim", job->req.id,
-                                   Status::timeout(e.what())
-                                       .rule("serve.timeout"));
-        } catch (const std::exception &e) {
-            reply = errorReplyJson("sim", job->req.id,
-                                   Status::internal(e.what()));
         }
+    } catch (const resil::CancelledError &e) {
+        reg().addCounter("serve.timeout.cancelled");
+        reply = errorReplyJson("sim", job.req.id,
+                               Status::timeout(e.what())
+                                   .rule("serve.timeout"));
+    } catch (const std::exception &e) {
+        trb_warn("sim seq ", seq, " threw: ", e.what());
+        reply = errorReplyJson("sim", job.req.id,
+                               Status::internal(e.what()));
+    } catch (...) {
+        trb_warn("sim seq ", seq, " threw a non-std exception");
+        reply = errorReplyJson("sim", job.req.id,
+                               Status::internal("non-std exception"));
     }
-    finishJob(job, seq, reply);
-}
+    sendReply(job.conn, reply);
 
-void
-ServeDaemon::cancelledBeforeStart(const std::shared_ptr<Job> &job,
-                                  std::uint64_t seq)
-{
-    reg().addCounter("serve.timeout.cancelled");
-    finishJob(job, seq,
-              errorReplyJson("sim", job->req.id,
-                             Status::timeout(job->token->reason())
-                                 .rule("serve.timeout")));
-}
-
-void
-ServeDaemon::finishJob(const std::shared_ptr<Job> &job,
-                       std::uint64_t seq, const std::string &reply)
-{
-    sendReply(job->conn, reply);
-    {
-        std::lock_guard<std::mutex> lock(inflightMutex_);
-        inflightMap_.erase(seq);
-    }
-    // Registry erase precedes the pendingJobs decrement: a connection
-    // is only reaped at pendingJobs == 0, so while a registry entry
-    // exists its Conn pointer is alive.
-    job->conn->pendingJobs.fetch_sub(1);
+    // The registry erase precedes the caller's pendingJobs decrement: a
+    // connection is only reaped at pendingJobs == 0, so while a registry
+    // entry exists its Conn pointer is alive.
+    std::lock_guard<std::mutex> lock(inflightMutex_);
+    inflightMap_.erase(seq);
     reg().setGauge("serve.inflight",
-                   static_cast<double>(inflight_.load() - 1));
-    // Decrement and notify under the lock: stop() may destroy the
-    // daemon as soon as the dispatcher observes inflight == 0, and the
-    // dispatcher can only observe it after this critical section ends.
-    {
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
-        inflight_.fetch_sub(1);
-        dispatchCv_.notify_all();
-    }
+                   static_cast<double>(inflightMap_.size()));
 }
 
 void
@@ -569,7 +533,7 @@ ServeDaemon::tickWatchdog()
         }
     }
 
-    // (2) Walk the dispatched work: gauge the oldest request, collect
+    // (2) Walk the running work: gauge the oldest request, collect
     // tokens to fire (expired deadline, or the peer is dead), flag
     // stuck requests once.
     struct Firing

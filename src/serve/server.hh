@@ -11,9 +11,10 @@
  *    answered inline; sim requests are pushed onto a bounded FairQueue
  *    keyed by the connection, and a full queue turns into an immediate
  *    typed `busy` reply (backpressure, never an unbounded backlog);
- *  - a dispatcher thread popping the queue round-robin (so tenants
- *    share the machine fairly) and handing each request to the
- *    trb::par pool via submit(), bounded to the pool's width.
+ *  - a fixed set of max(1, jobs - 1) worker threads, each popping the
+ *    queue round-robin (so tenants share the machine fairly) and running
+ *    the sim it popped.  A request costs at most one thread wake-up,
+ *    reader to worker, and none when a busy worker finds it queued.
  *
  * Simulation itself is the ordinary simulate() call: warm requests are
  * answered from trb::store transparently, and every reply is
@@ -22,18 +23,18 @@
  * serve.* counters/gauges in the global metrics registry (and over the
  * wire via the stats op).  docs/serving.md is the operator manual.
  *
- * Hostile time.  A fourth thread -- the watchdog -- makes the daemon
+ * Hostile time.  One more thread -- the watchdog -- makes the daemon
  * survive clients that are slow, dead or deadline-bound:
  *
  *  - a request carrying deadline_ms is answered with a typed `timeout`
- *    once the deadline passes: still-queued work is rejected at
- *    dispatch without burning a worker; in-flight work is cancelled
+ *    once the deadline passes: still-queued work is rejected when a
+ *    worker pops it, without simulating; running work is cancelled
  *    cooperatively through resil::CancelToken (the core model polls
  *    every O3Core::kCancelPollInterval retired records);
  *  - replies are written with a poll-bounded readiness timeout
  *    (TRB_SERVE_WRITE_MS), so one peer that stops draining its socket
  *    cannot wedge a worker; the connection is declared dead and its
- *    in-flight work cancelled;
+ *    running work cancelled;
  *  - the watchdog (every TRB_SERVE_WATCHDOG_MS) fires expired
  *    deadlines, reaps peers that vanished behind a half-closed stream
  *    (POLLHUP), exports the oldest in-flight age as the
@@ -58,6 +59,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "par/thread_pool.hh"
 #include "resil/cancel.hh"
@@ -77,11 +79,8 @@ struct ServeConfig
     /** Listening socket path (beware sun_path's ~100-byte limit). */
     std::string socketPath = "trb_serve.sock";
 
-    /** Queued-but-undispatched sim requests beyond which push -> busy. */
+    /** Queued sim requests (not yet on a worker) beyond which push -> busy. */
     std::size_t queueBound = 64;
-
-    /** Concurrently dispatched sims; 0 means the pool's job count. */
-    std::size_t maxInflight = 0;
 
     /** Watchdog period in ms; 0 disables the watchdog thread. */
     std::uint64_t watchdogMs = 50;
@@ -108,8 +107,10 @@ class ServeDaemon
   public:
     /**
      * @param cfg  serving knobs
-     * @param pool execution pool; nullptr means ThreadPool::global()
-     *             (tests inject fixed-width pools to pin TRB_JOBS)
+     * @param pool its jobs() sizes the daemon: max(1, jobs - 1) workers,
+     *             and the stats reply's `jobs`.  The daemon runs nothing
+     *             on the pool.  nullptr means par::jobsFromEnv() (tests
+     *             pass fixed-width pools to pin TRB_JOBS).
      */
     explicit ServeDaemon(ServeConfig cfg = ServeConfig::fromEnv(),
                          par::ThreadPool *pool = nullptr);
@@ -150,8 +151,8 @@ class ServeDaemon
     {
         int fd = -1;
         std::string client;                //!< lane key, "conn-<n>"
-        std::mutex writeMutex;             //!< reader + pool replies
-        std::atomic<int> pendingJobs{0};   //!< queued or inflight sims
+        std::mutex writeMutex;             //!< reader + worker replies
+        std::atomic<int> pendingJobs{0};   //!< queued or running sims
         std::atomic<bool> done{false};     //!< reader thread exited
         std::atomic<bool> dead{false};     //!< peer unreachable: no
                                            //!< more writes, cancel work
@@ -161,16 +162,15 @@ class ServeDaemon
         std::thread reader;
     };
 
-    /** One admitted sim request waiting for dispatch. */
+    /** One admitted sim request waiting for a worker. */
     struct Job
     {
         Conn *conn = nullptr;
         ServeRequest req;
-        std::shared_ptr<resil::CancelToken> token;
         resil::Deadline deadline;   //!< armed at admission
     };
 
-    /** Watchdog's view of one dispatched sim, keyed by seq. */
+    /** Watchdog's view of one running sim, keyed by seq. */
     struct Inflight
     {
         Conn *conn = nullptr;
@@ -183,21 +183,16 @@ class ServeDaemon
 
     void acceptLoop();
     void readerLoop(Conn *conn);
-    void dispatchLoop();
+    void workerLoop();
     void watchdogLoop();
     void tickWatchdog();
-    void runSim(std::shared_ptr<Job> job, std::uint64_t seq);
-    void cancelledBeforeStart(const std::shared_ptr<Job> &job,
-                              std::uint64_t seq);
-    void finishJob(const std::shared_ptr<Job> &job, std::uint64_t seq,
-                   const std::string &reply);
+    void runSim(const Job &job);
     void sendReply(Conn *conn, const std::string &payload);
     void cancelConnInflight(Conn *conn, const std::string &why);
     void reapFinishedConns();
 
     ServeConfig cfg_;
-    par::ThreadPool *pool_;
-    std::size_t maxInflight_ = 1;
+    std::size_t jobs_;   //!< TRB_JOBS-style width: stats reply, workers
 
     int listenFd_ = -1;
     std::atomic<bool> running_{false};
@@ -205,17 +200,18 @@ class ServeDaemon
     std::chrono::steady_clock::time_point startTime_;
 
     std::thread acceptThread_;
-    std::thread dispatchThread_;
+    std::vector<std::thread> workers_;
     std::thread watchdogThread_;
 
     std::mutex connsMutex_;
     std::list<std::unique_ptr<Conn>> conns_;
     std::uint64_t connCounter_ = 0;   //!< guarded by connsMutex_
 
+    // Workers sleep on queueCv_ and pop under queueMutex_; readers push
+    // first and then touch queueMutex_ before notifying.
     FairQueue<Job> queue_;
-    std::mutex dispatchMutex_;
-    std::condition_variable dispatchCv_;
-    std::atomic<std::size_t> inflight_{0};
+    std::mutex queueMutex_;
+    std::condition_variable queueCv_;
     std::atomic<std::uint64_t> seq_{0};
     std::atomic<std::uint64_t> served_{0};
 

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
@@ -120,50 +119,6 @@ TEST(ThreadPool, FirstExceptionPropagatesAndPoolSurvives)
     std::atomic<std::size_t> again{0};
     pool.parallelFor(50, [&](std::size_t) { ++again; });
     EXPECT_EQ(again.load(), 50u);
-}
-
-TEST(ThreadPool, CancellableSubmitRunsFnWhenFlagUnset)
-{
-    // Both the inline (jobs == 1) and threaded paths must run fn when
-    // the cancel flag never fires, and never run onCancel.
-    for (std::size_t jobs : {1u, 4u}) {
-        par::ThreadPool pool(jobs);
-        std::atomic<bool> cancel{false};
-        std::atomic<int> ran{0}, cancelled{0};
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&] { ++ran; }, &cancel, [&] { ++cancelled; });
-        for (int spin = 0; ran.load() < 32 && spin < 2000; ++spin)
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        EXPECT_EQ(ran.load(), 32) << "jobs=" << jobs;
-        EXPECT_EQ(cancelled.load(), 0) << "jobs=" << jobs;
-    }
-}
-
-TEST(ThreadPool, CancellableSubmitRunsOnCancelWhenFlagSet)
-{
-    // A pre-fired flag means fn must never start: onCancel runs instead,
-    // on both the inline and threaded paths.
-    for (std::size_t jobs : {1u, 4u}) {
-        par::ThreadPool pool(jobs);
-        std::atomic<bool> cancel{true};
-        std::atomic<int> ran{0}, cancelled{0};
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&] { ++ran; }, &cancel, [&] { ++cancelled; });
-        for (int spin = 0; cancelled.load() < 32 && spin < 2000; ++spin)
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        EXPECT_EQ(ran.load(), 0) << "jobs=" << jobs;
-        EXPECT_EQ(cancelled.load(), 32) << "jobs=" << jobs;
-    }
-}
-
-TEST(ThreadPool, CancellableSubmitWithNullFlagDegradesToPlain)
-{
-    par::ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    pool.submit([&] { ++ran; }, nullptr, [] { FAIL(); });
-    for (int spin = 0; ran.load() < 1 && spin < 2000; ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_EQ(ran.load(), 1);
 }
 
 TEST(ThreadPool, ParallelMapKeepsInputOrder)

@@ -3,9 +3,9 @@
  * Tests for trb::serve: frame round-trips, typed rejection of malformed
  * requests, FairQueue rotation and bounds, end-to-end fairness between
  * greedy clients, backpressure at the queue bound, graceful-shutdown
- * drain, and the headline soak -- hundreds of concurrent mixed
- * cold/warm requests whose replies are bit-identical to direct
- * simulate() calls, at pool widths 1 and 8.
+ * drain, the worker bound on running sims, and the headline soak --
+ * hundreds of concurrent mixed cold/warm requests whose replies are
+ * bit-identical to direct simulate() calls, at pool widths 1 and 8.
  */
 
 #include <gtest/gtest.h>
@@ -369,6 +369,13 @@ TEST(ServeProtocol, ErrorReplyRoundTripsTheTaxonomy)
                     .ok());
     EXPECT_EQ(ErrorClass::Internal, reply.error.errorClass());
     EXPECT_EQ("m", reply.error.message());
+
+    // An error reply without an error class is no reply at all: it must
+    // not pass for an empty internal error.
+    Status st = serve::parseReply(R"({"ok": false, "op": "sim", "id": "x"})",
+                                  reply);
+    EXPECT_EQ(ErrorClass::CorruptRecord, st.errorClass());
+    EXPECT_EQ("serve.reply", st.ruleViolated());
 }
 
 // ---------------------------------------------------------------------
@@ -704,14 +711,13 @@ TEST_F(ServeDaemonTest, BackpressureRepliesBusyAtQueueBound)
 {
     ServeConfig cfg = config();
     cfg.queueBound = 1;
-    cfg.maxInflight = 1;
-    par::ThreadPool pool(2);
+    par::ThreadPool pool(2);   // one worker
     ServeDaemon daemon(cfg, &pool);
     ASSERT_TRUE(daemon.start().ok());
 
     const std::uint64_t busyBefore = counter("serve.rejected.busy");
 
-    // Pipeline more sims than bound + inflight can hold; the excess
+    // Pipeline more sims than bound + worker can hold; the excess
     // must come back as typed busy replies, nothing lost.
     const int kSent = 8;
     ServeClient client;
@@ -752,10 +758,8 @@ TEST_F(ServeDaemonTest, BackpressureRepliesBusyAtQueueBound)
 
 TEST_F(ServeDaemonTest, FairnessTwoGreedyClientsBothProgress)
 {
-    ServeConfig cfg = config();
-    cfg.maxInflight = 1;   // serialize dispatch so rotation is visible
-    par::ThreadPool pool(2);
-    ServeDaemon daemon(cfg, &pool);
+    par::ThreadPool pool(2);   // one worker, so rotation is visible
+    ServeDaemon daemon(config(), &pool);
     ASSERT_TRUE(daemon.start().ok());
 
     const int kEach = 6;
@@ -788,8 +792,8 @@ TEST_F(ServeDaemonTest, FairnessTwoGreedyClientsBothProgress)
     ASSERT_EQ(static_cast<std::size_t>(kEach), seqA.size());
     ASSERT_EQ(static_cast<std::size_t>(kEach), seqB.size());
 
-    // Round-robin dispatch means neither client's backlog finishes
-    // before the other's begins: the dispatch sequences interleave.
+    // Round-robin pops mean neither client's backlog finishes before
+    // the other's begins: the start sequences interleave.
     const std::uint64_t aMax =
         *std::max_element(seqA.begin(), seqA.end());
     const std::uint64_t bMax =
@@ -806,9 +810,8 @@ TEST_F(ServeDaemonTest, FairnessTwoGreedyClientsBothProgress)
 TEST_F(ServeDaemonTest, StopDrainsQueuedRequestsWithTypedBusy)
 {
     ServeConfig cfg = config();
-    cfg.maxInflight = 1;
     cfg.queueBound = 64;
-    par::ThreadPool pool(2);
+    par::ThreadPool pool(2);   // one worker
     ServeDaemon daemon(cfg, &pool);
     ASSERT_TRUE(daemon.start().ok());
 
@@ -854,6 +857,62 @@ TEST_F(ServeDaemonTest, StopDrainsQueuedRequestsWithTypedBusy)
     EXPECT_EQ(4, answered);
 }
 
+TEST_F(ServeDaemonTest, InflightNeverExceedsTheWorkers)
+{
+    // A pool of three jobs sizes the daemon at two workers: of eight
+    // queued sims, two run and the rest wait in the queue.
+    par::ThreadPool pool(3);
+    ServeDaemon daemon(config(), &pool);
+    ASSERT_TRUE(daemon.start().ok());
+
+    const int kSent = 8;
+    ServeClient client;
+    ASSERT_TRUE(client.connect(socketPath_).ok());
+    for (int i = 0; i < kSent; ++i) {
+        ServeRequest req;
+        req.op = Op::Sim;
+        req.trace = "preset:int:" + std::to_string(i + 1);
+        req.length = 100000;
+        req.useStore = false;
+        req.id = std::to_string(i);
+        ASSERT_TRUE(client.send(req).ok());
+    }
+    // As in StopDrainsQueuedRequestsWithTypedBusy: once the pong
+    // arrives, all eight sims are in the daemon.
+    ServeRequest ping;
+    ping.op = Op::Ping;
+    ASSERT_TRUE(client.send(ping).ok());
+    int answered = 0;
+    for (bool pong = false; !pong;) {
+        ServeReply reply;
+        ASSERT_TRUE(client.recv(reply).ok());
+        if (reply.op == "ping")
+            pong = true;
+        else
+            ++answered;
+    }
+
+    // Watch the gauges from a second connection until the queue drains.
+    ServeClient watcher;
+    ASSERT_TRUE(watcher.connect(socketPath_).ok());
+    double most = 0.0;
+    for (int spin = 0; spin < 100000; ++spin) {
+        ServeReply stats;
+        ASSERT_TRUE(watcher.stats(stats).ok());
+        most = std::max(most, stats.raw.number("gauges/serve.inflight"));
+        if (stats.raw.number("gauges/serve.queue_depth") == 0.0)
+            break;
+    }
+    EXPECT_EQ(2.0, most);
+
+    for (; answered < kSent; ++answered) {
+        ServeReply reply;
+        ASSERT_TRUE(client.recv(reply).ok());
+        EXPECT_TRUE(reply.ok) << reply.error.toString();
+    }
+    daemon.stop();
+}
+
 // ---------------------------------------------------------------------
 // Hostile time: deadlines, cancellation, dead clients
 // ---------------------------------------------------------------------
@@ -874,9 +933,8 @@ TEST_F(ServeDaemonTest, StartRejectsOversizedSocketPathTyped)
 TEST_F(ServeDaemonTest, QueuedPastDeadlineGetsTypedTimeout)
 {
     ServeConfig cfg = config();
-    cfg.maxInflight = 1;
     cfg.watchdogMs = 10;
-    par::ThreadPool pool(2);
+    par::ThreadPool pool(2);   // one worker
     ServeDaemon daemon(cfg, &pool);
     ASSERT_TRUE(daemon.start().ok());
 
@@ -886,7 +944,7 @@ TEST_F(ServeDaemonTest, QueuedPastDeadlineGetsTypedTimeout)
     ServeClient client;
     ASSERT_TRUE(client.connect(socketPath_).ok());
 
-    // The first request holds the single inflight slot for tens of
+    // The first request holds the only worker for tens of
     // milliseconds...
     ServeRequest slow;
     slow.op = Op::Sim;
@@ -1134,8 +1192,7 @@ TEST_F(ServeDaemonTest, SoakConcurrentMixedColdWarmJobs8)
 {
     ServeConfig cfg = config();
     cfg.queueBound = 2;    // small bound: backpressure must engage
-    cfg.maxInflight = 2;
-    par::ThreadPool pool(8);
+    par::ThreadPool pool(8);   // seven workers for sixteen clients
     runSoak(cfg, pool, /*threads=*/16, /*perThread=*/15,
             /*wantBusy=*/true, storeDir_);
 }

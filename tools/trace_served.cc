@@ -5,9 +5,10 @@
  *   TRB_STORE=/var/cache/trb trace_served --socket /run/trb.sock
  *
  * Listens on a Unix-domain socket, accepts trb-serve-v1 requests (see
- * docs/serving.md) and runs them on the shared trb::par pool with
- * per-client round-robin fairness and a bounded queue.  Warm requests
- * are answered straight from the trb::store artifact cache.
+ * docs/serving.md) and runs them on max(1, TRB_JOBS - 1) worker threads
+ * of its own, with per-client round-robin fairness and a bounded queue.
+ * Warm requests are answered straight from the trb::store artifact
+ * cache.
  *
  * SIGTERM/SIGINT trigger a graceful shutdown: queued requests get a
  * typed `busy` reply, inflight simulations finish and flush, the
