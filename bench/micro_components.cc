@@ -167,10 +167,10 @@ BENCHMARK(BM_CoreSimulationTraced);
 void
 BM_CoreSimulationCancelPoll(benchmark::State &state)
 {
-    // The serving daemon's configuration: a cancel token attached but
-    // never fired.  Compare against BM_CoreSimulation to price the
-    // hot-loop poll (one masked test per record, one relaxed load per
-    // kCancelPollInterval records).
+    // A cancel token attached but never fired.  Compare against
+    // BM_CoreSimulation to price the hot-loop poll (one masked test per
+    // record, one relaxed load per kCancelPollInterval records; the
+    // serving daemon's tokens add a parent's load and a clock read).
     CvpTrace cvp = TraceGenerator(serverParams(11)).generate(20000);
     Cvp2ChampSim conv(kAllImps);
     ChampSimTrace trace = conv.convert(cvp);

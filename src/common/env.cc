@@ -38,8 +38,6 @@ registry()
         {"TRB_SERVE_QUEUE", "daemon queue bound; beyond it requests get"
                             " a typed busy reply"},
         {"TRB_SERVE_SOCKET", "trace_served Unix-domain socket path"},
-        {"TRB_SERVE_WATCHDOG_MS", "daemon deadline/dead-client sweep"
-                                  " period in ms (0: watchdog off)"},
         {"TRB_SERVE_WRITE_MS", "daemon per-reply peer-readiness bound"
                                " in ms (0: block indefinitely)"},
         {"TRB_STORE", "content-addressed artifact cache directory"},

@@ -78,10 +78,12 @@ class O3Core
 
     /**
      * Attach (or detach with nullptr) a cancellation token: run() polls
-     * it every kCancelPollInterval retired instructions (one relaxed
-     * load on-path) and bails out by throwing resil::CancelledError
-     * when it has fired.  Detached, the per-poll cost is one pointer
-     * test -- the same pattern as setTracer().  The partial run's
+     * it every kCancelPollInterval retired instructions and bails out
+     * by throwing resil::CancelledError when it has fired.  A poll is
+     * one relaxed load, plus the parent's poll and a clock read when
+     * the token has them: this poll is what enforces a token's
+     * deadline.  Detached, the per-poll cost is one pointer test --
+     * the same pattern as setTracer().  The partial run's
      * statistics are discarded with the exception; cancellation never
      * produces (or memoizes) a truncated result.
      */

@@ -1,7 +1,5 @@
 #include "resil/cancel.hh"
 
-#include <limits>
-
 namespace trb
 {
 namespace resil
@@ -20,11 +18,25 @@ CancelToken::cancel(const std::string &reason)
     cancelled_.store(true, std::memory_order_release);
 }
 
+bool
+CancelToken::upstreamFired() const
+{
+    return (parent_ && parent_->cancelled()) || deadline_.expired();
+}
+
 std::string
 CancelToken::reason() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return reason_;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!reason_.empty())
+            return reason_;
+    }
+    if (parent_ && parent_->cancelled())
+        return parent_->reason();
+    if (deadline_.expired())
+        return "deadline expired";
+    return "";
 }
 
 void
@@ -48,17 +60,6 @@ bool
 Deadline::expired() const
 {
     return set_ && std::chrono::steady_clock::now() >= at_;
-}
-
-std::int64_t
-Deadline::remainingMs() const
-{
-    if (!set_)
-        return std::numeric_limits<std::int64_t>::max() / 1000000;
-    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    at_ - std::chrono::steady_clock::now())
-                    .count();
-    return left < 0 ? 0 : left;
 }
 
 } // namespace resil

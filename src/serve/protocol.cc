@@ -71,12 +71,11 @@ writeAll(int fd, const char *data, std::size_t size,
 }
 
 /**
- * Read exactly @p size bytes.  @p sawAny reports whether anything at
- * all arrived before EOF, so the caller can tell a clean close from a
- * truncated frame.
+ * Read exactly @p size bytes.  Given @p closed, EOF before the first
+ * byte sets *closed and returns ok; any other EOF truncates the frame.
  */
 Status
-readAll(int fd, char *data, std::size_t size, bool *sawAny = nullptr)
+readAll(int fd, char *data, std::size_t size, bool *closed = nullptr)
 {
     std::size_t done = 0;
     while (done < size) {
@@ -88,12 +87,15 @@ readAll(int fd, char *data, std::size_t size, bool *sawAny = nullptr)
                                    std::strerror(errno))
                 .rule("serve.io");
         }
-        if (n == 0)
+        if (n == 0) {
+            if (closed && done == 0) {
+                *closed = true;
+                return Status{};
+            }
             return Status::truncated("connection closed mid-frame")
                 .rule("serve.frame");
+        }
         done += static_cast<std::size_t>(n);
-        if (sawAny)
-            *sawAny = true;
     }
     return Status{};
 }
@@ -198,7 +200,7 @@ validateSocketPath(const std::string &path)
 }
 
 Status
-readFrame(int fd, std::string &payload)
+readFrame(int fd, std::string &payload, bool *closed)
 {
     // Length prefix: a short ASCII digit run ended by '\n'.  Read it
     // byte-wise -- at most 8 iterations, and it keeps the fd free of
@@ -207,14 +209,18 @@ readFrame(int fd, std::string &payload)
     std::size_t ndigits = 0;
     for (;;) {
         char c = 0;
-        bool sawAny = false;
-        Status st = readAll(fd, &c, 1, &sawAny);
-        if (!st.ok()) {
-            if (st.errorClass() == ErrorClass::TruncatedInput &&
-                !sawAny && ndigits == 0)
-                return Status::truncated("connection closed")
-                    .rule("serve.closed");
+        // Only EOF before the frame's first byte is a clean close.
+        bool eof = false;
+        if (Status st = readAll(fd, &c, 1, ndigits == 0 ? &eof : nullptr);
+            !st.ok())
             return st;
+        if (eof) {
+            if (closed) {
+                *closed = true;
+                return Status{};
+            }
+            return Status::truncated("connection closed")
+                .rule("serve.closed");
         }
         if (c == '\n')
             break;
@@ -244,13 +250,6 @@ readFrame(int fd, std::string &payload)
         return Status::corrupt("frame payload not newline-terminated")
             .rule("serve.frame");
     return Status{};
-}
-
-bool
-isCleanClose(const Status &st)
-{
-    return st.errorClass() == ErrorClass::TruncatedInput &&
-           st.ruleViolated() == "serve.closed";
 }
 
 Status

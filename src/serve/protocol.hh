@@ -57,13 +57,17 @@ constexpr std::size_t kMaxFrameBytes = 4u << 20;
 /**
  * @name Framing
  * Blocking frame I/O over a connected stream fd.  Both retry EINTR and
- * short transfers.  readFrame() distinguishes a clean close (EOF on a
- * frame boundary): the returned Status is TruncatedInput with rule
- * "serve.closed" -- test with isCleanClose().
+ * short transfers.  readFrame() tells a clean close (EOF on a frame
+ * boundary) from a truncated frame (EOF inside one, TruncatedInput with
+ * rule "serve.frame").  Given @p closed, it reports a clean close by
+ * setting *closed and returning ok: a hang-up is not an error, and no
+ * Status is constructed for it (every error Status counts in
+ * resil.errors.*).  Without @p closed, a clean close is TruncatedInput
+ * with rule "serve.closed".
  * @{
  */
 Status writeFrame(int fd, const std::string &payload);
-Status readFrame(int fd, std::string &payload);
+Status readFrame(int fd, std::string &payload, bool *closed = nullptr);
 
 /** Knobs for the daemon-side frame writer. */
 struct WriteOptions
@@ -97,8 +101,6 @@ struct WriteOptions
 Status writeFrame(int fd, const std::string &payload,
                   const WriteOptions &opts);
 
-/** True if @p st is readFrame()'s clean-close condition. */
-bool isCleanClose(const Status &st);
 /** @} */
 
 /**

@@ -44,7 +44,6 @@ ServeConfig::fromEnv()
     cfg.socketPath = env::str("TRB_SERVE_SOCKET", cfg.socketPath);
     cfg.queueBound = static_cast<std::size_t>(
         env::u64("TRB_SERVE_QUEUE", cfg.queueBound));
-    cfg.watchdogMs = env::u64("TRB_SERVE_WATCHDOG_MS", cfg.watchdogMs);
     cfg.writeTimeoutMs = env::u64("TRB_SERVE_WRITE_MS",
                                   cfg.writeTimeoutMs);
     if (cfg.queueBound == 0)
@@ -124,16 +123,15 @@ ServeDaemon::start()
     reg().setGauge("serve.inflight", 0.0);
     reg().setGauge("serve.queue_depth", 0.0);
     reg().setGauge("serve.inflight_age_ms", 0.0);
-    acceptThread_ = std::thread([this] { acceptLoop(); });
     // One worker per job beyond the first, and at least one.
     const std::size_t workers = jobs_ > 1 ? jobs_ - 1 : 1;
-    for (std::size_t i = 0; i < workers; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-    if (cfg_.watchdogMs > 0)
-        watchdogThread_ = std::thread([this] { watchdogLoop(); });
+    simStarts_ = std::vector<Stamp>(workers);
+    acceptThread_ = std::thread([this] { acceptLoop(); });
+    for (Stamp &simStart : simStarts_)
+        workers_.emplace_back([this, &simStart] { workerLoop(simStart); });
     trb_inform("trace_served listening on ", cfg_.socketPath,
                " (jobs ", jobs_, ", workers ", workers, ", queue ",
-               cfg_.queueBound, ", watchdog ", cfg_.watchdogMs, " ms)");
+               cfg_.queueBound, ")");
     return Status{};
 }
 
@@ -146,11 +144,7 @@ ServeDaemon::stop()
         std::lock_guard<std::mutex> lock(queueMutex_);
         stopping_ = true;
     }
-    {
-        std::lock_guard<std::mutex> lock(watchdogMutex_);
-    }
     queueCv_.notify_all();
-    watchdogCv_.notify_all();
 
     // Unblock accept(); on Linux a shutdown listening socket returns
     // EINVAL from accept, which the loop treats as "time to go".
@@ -160,23 +154,20 @@ ServeDaemon::stop()
     // Workers pop nothing more: everything still queued gets a typed
     // shutdown-busy reply before anything is waited on.
     Job job;
-    while (queue_.pop(job)) {
+    while (queue_.pop(job))
         sendReply(job.conn,
                   errorReplyJson("sim", job.req.id,
                                  Status::busy("server shutting down")
-                                     .rule("serve.shutdown")));
-        job.conn->pendingJobs.fetch_sub(1);
-    }
+                                     .rule("serve.shutdown")),
+                  /*settlesJob=*/true);
     reg().setGauge("serve.queue_depth", 0.0);
 
-    // Let the workers finish the sims they are running.  The watchdog
-    // stays alive until they have: it is what cancels deadline-bound
-    // work that would otherwise hold shutdown hostage.
+    // Let the workers finish the sims they are running.  A sim with a
+    // deadline cancels itself when it expires, so none holds shutdown
+    // hostage past its budget.
     for (std::thread &worker : workers_)
         worker.join();
     workers_.clear();
-    if (watchdogThread_.joinable())
-        watchdogThread_.join();
 
     // Hang up every connection; the readers see EOF and exit.
     {
@@ -214,6 +205,11 @@ ServeDaemon::reapFinishedConns()
     for (auto it = conns_.begin(); it != conns_.end();) {
         Conn &conn = **it;
         if (conn.done && conn.pendingJobs == 0) {
+            // The last job settled under writeMutex: wait until its
+            // worker has let go of it.
+            {
+                std::lock_guard<std::mutex> settled(conn.writeMutex);
+            }
             conn.reader.join();
             ::close(conn.fd);
             it = conns_.erase(it);
@@ -260,10 +256,13 @@ ServeDaemon::acceptLoop()
 }
 
 void
-ServeDaemon::sendReply(Conn *conn, const std::string &payload)
+ServeDaemon::sendReply(Conn *conn, const std::string &payload,
+                       bool settlesJob)
 {
     std::lock_guard<std::mutex> lock(conn->writeMutex);
-    if (conn->dead.load(std::memory_order_relaxed))
+    if (settlesJob)
+        conn->pendingJobs.fetch_sub(1);
+    if (conn->cancel.cancelled())
         return;
     WriteOptions opts;
     opts.timeoutMs = static_cast<unsigned>(cfg_.writeTimeoutMs);
@@ -271,30 +270,15 @@ ServeDaemon::sendReply(Conn *conn, const std::string &payload)
     opts.frameIndex = conn->framesWritten++;
     if (Status st = writeFrame(conn->fd, payload, opts); !st.ok()) {
         // The peer is unreachable (gone, wedged, or chaos cut the
-        // wire): stop writing and release any workers still computing
+        // wire): stop writing and stop the sims still computing
         // answers nobody can receive.
-        conn->dead.store(true);
         if (st.errorClass() == ErrorClass::Timeout)
             reg().addCounter("serve.write.timeout");
         trb_debug("reply to ", conn->client, " failed: ",
                   st.toString());
-        cancelConnInflight(conn, "peer " + conn->client +
-                                     " unreachable: " + st.message());
+        conn->cancel.cancel("peer " + conn->client +
+                            " unreachable: " + st.message());
     }
-}
-
-void
-ServeDaemon::cancelConnInflight(Conn *conn, const std::string &why)
-{
-    std::vector<std::shared_ptr<resil::CancelToken>> fire;
-    {
-        std::lock_guard<std::mutex> lock(inflightMutex_);
-        for (auto &entry : inflightMap_)
-            if (entry.second.conn == conn)
-                fire.push_back(entry.second.token);
-    }
-    for (auto &token : fire)
-        token->cancel(why);
 }
 
 void
@@ -303,12 +287,15 @@ ServeDaemon::readerLoop(Conn *conn)
     bool violated = false;
     for (;;) {
         std::string payload;
-        Status st = readFrame(conn->fd, payload);
+        bool closed = false;
+        Status st = readFrame(conn->fd, payload, &closed);
+        if (closed)
+            break;
         if (!st.ok()) {
             // A framing violation cannot be resynchronised: report it
-            // once (best effort) and hang up.  Clean closes and
-            // shutdown races stay quiet.
-            if (!isCleanClose(st) && !stopping_) {
+            // once (best effort) and hang up.  Shutdown races stay
+            // quiet.
+            if (!stopping_) {
                 trb_debug(conn->client, ": ", st.toString());
                 if (st.errorClass() == ErrorClass::CorruptRecord) {
                     sendReply(conn, errorReplyJson("", "", st));
@@ -337,6 +324,7 @@ ServeDaemon::readerLoop(Conn *conn)
             sendReply(conn, pingReplyJson(req.id, uptimeSeconds()));
             break;
           case Op::Stats:
+            reg().setGauge("serve.inflight_age_ms", oldestInflightMs());
             sendReply(conn, statsReplyJson(req.id, uptimeSeconds(), jobs_,
                                            cfg_.queueBound));
             break;
@@ -379,19 +367,44 @@ ServeDaemon::readerLoop(Conn *conn)
         }
     }
     // Hang up so a peer waiting for EOF sees it now rather than at the
-    // next reap.  A violated stream is cut outright (any inflight
-    // replies are forfeit -- the framing is broken anyway); a cleanly
-    // closed one keeps its write side while sims are still pending, so
-    // pipelined replies flush to a half-closed peer.
-    if (violated || conn->pendingJobs.load() == 0)
-        ::shutdown(conn->fd, SHUT_RDWR);
-    else
-        ::shutdown(conn->fd, SHUT_RD);
+    // next reap.  A violated stream is cut outright: its pending
+    // replies are forfeit (the framing is broken anyway), so its sims
+    // stop.  One that ended with sims pending keeps its write side, so
+    // pipelined replies flush to a peer that only half-closed
+    // (shutdown(SHUT_WR)) -- unless the peer closed outright, which
+    // raises POLLHUP where a half-close does not.  Jobs settle under
+    // writeMutex, so under it a pending job is one whose reply is
+    // unwritten: a peer that read every reply and then closed is not
+    // found dead.
+    {
+        std::lock_guard<std::mutex> lock(conn->writeMutex);
+        if (violated) {
+            conn->cancel.cancel("peer " + conn->client + " broke framing");
+            ::shutdown(conn->fd, SHUT_RDWR);
+        } else if (conn->pendingJobs.load() == 0) {
+            ::shutdown(conn->fd, SHUT_RDWR);
+        } else {
+            // A token fired already was fired by a failed write, and
+            // no write runs while writeMutex is held.
+            struct pollfd p = {conn->fd, 0, 0};
+            if (::poll(&p, 1, 0) > 0 && (p.revents & POLLHUP) &&
+                !conn->cancel.cancelled()) {
+                conn->cancel.cancel("peer " + conn->client +
+                                    " disconnected");
+                reg().addCounter("serve.reaped.dead");
+                trb_debug(conn->client, ": peer vanished with ",
+                          conn->pendingJobs.load(), " pending sims");
+            }
+            ::shutdown(conn->fd, SHUT_RD);
+        }
+    }
     conn->done = true;
+    // Last, so a counted hang-up has finished touching the registry.
+    reg().addCounter("serve.disconnects");
 }
 
 void
-ServeDaemon::workerLoop()
+ServeDaemon::workerLoop(Stamp &simStart)
 {
     for (;;) {
         Job job;
@@ -410,10 +423,11 @@ ServeDaemon::workerLoop()
                            static_cast<double>(queue_.depth()));
         }
 
-        if (job.conn->dead.load(std::memory_order_relaxed)) {
+        if (job.conn->cancel.cancelled()) {
             // A peer already declared dead cannot receive any reply:
             // drop the work instead of computing an answer for nobody.
             reg().addCounter("serve.dropped.dead");
+            job.conn->pendingJobs.fetch_sub(1);
         } else if (job.deadline.expired()) {
             // A deadline that expired while queued is answered without
             // simulating.
@@ -425,28 +439,25 @@ ServeDaemon::workerLoop()
                               "deadline of " +
                               std::to_string(job.req.deadlineMs) +
                               " ms expired while queued")
-                              .rule("serve.deadline")));
+                              .rule("serve.deadline")),
+                      /*settlesJob=*/true);
         } else {
-            runSim(job);
+            runSim(job, simStart);
         }
-        job.conn->pendingJobs.fetch_sub(1);
     }
 }
 
 void
-ServeDaemon::runSim(const Job &job)
+ServeDaemon::runSim(const Job &job, Stamp &simStart)
 {
     // Only sims that run take a seq, so the seqs have no gaps.
     const std::uint64_t seq = seq_.fetch_add(1) + 1;
-    auto token = std::make_shared<resil::CancelToken>();
-    {
-        std::lock_guard<std::mutex> lock(inflightMutex_);
-        inflightMap_.emplace(seq, Inflight{job.conn, job.req.id,
-                                           std::chrono::steady_clock::now(),
-                                           job.deadline, token, false});
-        reg().setGauge("serve.inflight",
-                       static_cast<double>(inflightMap_.size()));
-    }
+    // The core polls this token: it fires at the admission deadline or
+    // with the connection's token, whichever comes first.
+    const resil::CancelToken token(job.deadline, &job.conn->cancel);
+    simStart.store(std::chrono::steady_clock::now().time_since_epoch().count(),
+                   std::memory_order_relaxed);
+    noteInflight(1);
 
     // Every admitted sim gets exactly one reply, whatever it throws.
     std::string reply;
@@ -455,7 +466,7 @@ ServeDaemon::runSim(const Job &job)
         if (!trace.ok()) {
             reply = errorReplyJson("sim", job.req.id, trace.status());
         } else {
-            token->throwIfCancelled();
+            token.throwIfCancelled();
             SimResult result =
                 simulate(trace.value(),
                          SimRequest{
@@ -464,7 +475,7 @@ ServeDaemon::runSim(const Job &job)
                                                     : modernConfig(),
                              .warmupFraction = job.req.warmupFraction,
                              .useStore = job.req.useStore,
-                             .cancel = token.get(),
+                             .cancel = &token,
                          });
             reply = simReplyJson(job.req.id, result, seq);
             served_.fetch_add(1);
@@ -484,106 +495,40 @@ ServeDaemon::runSim(const Job &job)
         reply = errorReplyJson("sim", job.req.id,
                                Status::internal("non-std exception"));
     }
-    sendReply(job.conn, reply);
-
-    // The registry erase precedes the caller's pendingJobs decrement: a
-    // connection is only reaped at pendingJobs == 0, so while a registry
-    // entry exists its Conn pointer is alive.
-    std::lock_guard<std::mutex> lock(inflightMutex_);
-    inflightMap_.erase(seq);
-    reg().setGauge("serve.inflight",
-                   static_cast<double>(inflightMap_.size()));
+    sendReply(job.conn, reply, /*settlesJob=*/true);
+    simStart.store(0, std::memory_order_relaxed);
+    noteInflight(-1);
 }
 
 void
-ServeDaemon::watchdogLoop()
+ServeDaemon::noteInflight(int delta)
 {
-    std::unique_lock<std::mutex> lock(watchdogMutex_);
-    while (!watchdogCv_.wait_for(
-        lock, std::chrono::milliseconds(cfg_.watchdogMs),
-        [this] { return stopping_.load(); })) {
-        lock.unlock();
-        tickWatchdog();
-        lock.lock();
+    int count = inflight_.fetch_add(delta) + delta;
+    // Two workers can publish their counts in either order.  Each
+    // rewrites the gauge until the count it wrote is still current, so
+    // the last write always holds the true count.
+    for (;;) {
+        reg().setGauge("serve.inflight", static_cast<double>(count));
+        const int now = inflight_.load();
+        if (now == count)
+            return;
+        count = now;
     }
 }
 
-void
-ServeDaemon::tickWatchdog()
+double
+ServeDaemon::oldestInflightMs() const
 {
-    // (1) Reap peers that vanished behind a half-closed stream: the
-    // reader already exited but sims are still pending.  On a Unix
-    // socket POLLHUP means the peer is *fully* gone -- a deliberate
-    // half-close (shutdown(SHUT_WR)) keeps its read side open and does
-    // not raise it -- so pipelined replies to live half-closed peers
-    // keep flowing.
-    {
-        std::lock_guard<std::mutex> lock(connsMutex_);
-        for (auto &conn : conns_) {
-            if (conn->dead.load() || !conn->done.load() ||
-                conn->pendingJobs.load() == 0)
-                continue;
-            struct pollfd p = {conn->fd, 0, 0};
-            if (::poll(&p, 1, 0) > 0 && (p.revents & POLLHUP)) {
-                conn->dead.store(true);
-                reg().addCounter("serve.reaped.dead");
-                trb_debug(conn->client, ": peer vanished with ",
-                          conn->pendingJobs.load(), " pending sims");
-            }
-        }
+    using Clock = std::chrono::steady_clock;
+    const Clock::rep now = Clock::now().time_since_epoch().count();
+    Clock::rep oldest = 0;
+    for (const Stamp &simStart : simStarts_) {
+        const Clock::rep started = simStart.load(std::memory_order_relaxed);
+        if (started != 0)
+            oldest = std::max(oldest, now - started);
     }
-
-    // (2) Walk the running work: gauge the oldest request, collect
-    // tokens to fire (expired deadline, or the peer is dead), flag
-    // stuck requests once.
-    struct Firing
-    {
-        std::shared_ptr<resil::CancelToken> token;
-        std::string reason;
-    };
-    std::vector<Firing> fire;
-    double maxAgeMs = 0.0;
-    const auto now = std::chrono::steady_clock::now();
-    const double stuckMs = static_cast<double>(cfg_.watchdogMs) * 100.0;
-    {
-        std::lock_guard<std::mutex> lock(inflightMutex_);
-        for (auto &entry : inflightMap_) {
-            Inflight &inf = entry.second;
-            const double age =
-                std::chrono::duration<double, std::milli>(now -
-                                                          inf.started)
-                    .count();
-            maxAgeMs = std::max(maxAgeMs, age);
-            if (!inf.stuckLogged && age >= stuckMs) {
-                inf.stuckLogged = true;
-                reg().addCounter("serve.stuck");
-                trb_warn("sim seq ", entry.first, " (",
-                         inf.conn->client, ", id \"", inf.id,
-                         "\") inflight for ",
-                         static_cast<std::uint64_t>(age), " ms");
-            }
-            if (inf.token->cancelled())
-                continue;
-            if (inf.conn->dead.load())
-                fire.push_back({inf.token, "peer " + inf.conn->client +
-                                               " disconnected"});
-            else if (inf.deadline.expired())
-                fire.push_back(
-                    {inf.token,
-                     "deadline expired after " +
-                         std::to_string(
-                             static_cast<std::uint64_t>(age)) +
-                         " ms in flight"});
-        }
-    }
-    reg().setGauge("serve.inflight_age_ms", maxAgeMs);
-    // Fire outside the registry lock: the cancelled worker's reply
-    // path takes inflightMutex_ itself.
-    for (Firing &f : fire)
-        f.token->cancel(f.reason);
-
-    // (3) Retire fully-drained connections.
-    reapFinishedConns();
+    return std::chrono::duration<double, std::milli>(Clock::duration(oldest))
+        .count();
 }
 
 } // namespace serve

@@ -23,22 +23,25 @@
  * serve.* counters/gauges in the global metrics registry (and over the
  * wire via the stats op).  docs/serving.md is the operator manual.
  *
- * Hostile time.  One more thread -- the watchdog -- makes the daemon
- * survive clients that are slow, dead or deadline-bound:
+ * Hostile time.  The daemon survives clients that are slow, dead or
+ * deadline-bound without a thread of its own for it:
  *
  *  - a request carrying deadline_ms is answered with a typed `timeout`
  *    once the deadline passes: still-queued work is rejected when a
- *    worker pops it, without simulating; running work is cancelled
- *    cooperatively through resil::CancelToken (the core model polls
- *    every O3Core::kCancelPollInterval retired records);
+ *    worker pops it, without simulating; running work polls a
+ *    resil::CancelToken that carries the deadline, so the core model
+ *    cancels it within O3Core::kCancelPollInterval retired records of
+ *    expiry;
+ *  - each connection owns a CancelToken that fires once its peer is
+ *    unreachable, and every running sim's token has it as parent:
+ *    firing it stops the peer's running sims and drops its queued ones.
+ *    It fires when a reply write fails, and when the reader's EOF turns
+ *    out to be a full close (POLLHUP) rather than a half-close;
  *  - replies are written with a poll-bounded readiness timeout
  *    (TRB_SERVE_WRITE_MS), so one peer that stops draining its socket
- *    cannot wedge a worker; the connection is declared dead and its
- *    running work cancelled;
- *  - the watchdog (every TRB_SERVE_WATCHDOG_MS) fires expired
- *    deadlines, reaps peers that vanished behind a half-closed stream
- *    (POLLHUP), exports the oldest in-flight age as the
- *    serve.inflight_age_ms gauge, and logs/counts stuck requests.
+ *    cannot wedge a worker;
+ *  - the stats op reports the age of the oldest running sim as the
+ *    serve.inflight_age_ms gauge, computed when it is answered.
  *
  * Under a configured resil::FaultInjector, connection-scoped fault
  * kinds (conn-reset / conn-stall / partial-write, keyed by the
@@ -54,7 +57,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -82,9 +84,6 @@ struct ServeConfig
     /** Queued sim requests (not yet on a worker) beyond which push -> busy. */
     std::size_t queueBound = 64;
 
-    /** Watchdog period in ms; 0 disables the watchdog thread. */
-    std::uint64_t watchdogMs = 50;
-
     /** Per-write peer-readiness bound in ms; 0 blocks indefinitely. */
     std::uint64_t writeTimeoutMs = 5000;
 
@@ -94,10 +93,7 @@ struct ServeConfig
      */
     Status validate() const;
 
-    /**
-     * TRB_SERVE_SOCKET / TRB_SERVE_QUEUE / TRB_SERVE_WATCHDOG_MS /
-     * TRB_SERVE_WRITE_MS.
-     */
+    /** TRB_SERVE_SOCKET / TRB_SERVE_QUEUE / TRB_SERVE_WRITE_MS. */
     static ServeConfig fromEnv();
 };
 
@@ -152,10 +148,11 @@ class ServeDaemon
         int fd = -1;
         std::string client;                //!< lane key, "conn-<n>"
         std::mutex writeMutex;             //!< reader + worker replies
-        std::atomic<int> pendingJobs{0};   //!< queued or running sims
+        std::atomic<int> pendingJobs{0};   //!< sims not yet answered
         std::atomic<bool> done{false};     //!< reader thread exited
-        std::atomic<bool> dead{false};     //!< peer unreachable: no
-                                           //!< more writes, cancel work
+        resil::CancelToken cancel;         //!< fired once the peer is
+                                           //!< unreachable: no more
+                                           //!< writes, its sims stop
         std::uint64_t framesWritten = 0;   //!< guarded by writeMutex
         resil::FaultPlan chaos;            //!< resolved once at accept
         bool chaosOn = false;              //!< chaos has a conn fault
@@ -170,25 +167,23 @@ class ServeDaemon
         resil::Deadline deadline;   //!< armed at admission
     };
 
-    /** Watchdog's view of one running sim, keyed by seq. */
-    struct Inflight
-    {
-        Conn *conn = nullptr;
-        std::string id;
-        std::chrono::steady_clock::time_point started;
-        resil::Deadline deadline;
-        std::shared_ptr<resil::CancelToken> token;
-        bool stuckLogged = false;
-    };
+    /** steady_clock ticks since its epoch; 0 stands for "idle". */
+    using Stamp = std::atomic<std::chrono::steady_clock::rep>;
 
     void acceptLoop();
     void readerLoop(Conn *conn);
-    void workerLoop();
-    void watchdogLoop();
-    void tickWatchdog();
-    void runSim(const Job &job);
-    void sendReply(Conn *conn, const std::string &payload);
-    void cancelConnInflight(Conn *conn, const std::string &why);
+    void workerLoop(Stamp &simStart);
+    void runSim(const Job &job, Stamp &simStart);
+    /**
+     * Write one frame to @p conn (nothing once its peer is
+     * unreachable).  @p settlesJob: the frame answers one of its jobs,
+     * whose pendingJobs count drops under the same writeMutex as the
+     * write.
+     */
+    void sendReply(Conn *conn, const std::string &payload,
+                   bool settlesJob = false);
+    void noteInflight(int delta);
+    double oldestInflightMs() const;
     void reapFinishedConns();
 
     ServeConfig cfg_;
@@ -201,7 +196,8 @@ class ServeDaemon
 
     std::thread acceptThread_;
     std::vector<std::thread> workers_;
-    std::thread watchdogThread_;
+    std::vector<Stamp> simStarts_;   //!< per worker: its sim's start
+    std::atomic<int> inflight_{0};   //!< sims running on workers
 
     std::mutex connsMutex_;
     std::list<std::unique_ptr<Conn>> conns_;
@@ -214,16 +210,6 @@ class ServeDaemon
     std::condition_variable queueCv_;
     std::atomic<std::uint64_t> seq_{0};
     std::atomic<std::uint64_t> served_{0};
-
-    // Lock order where both are held: conn->writeMutex, then
-    // inflightMutex_ (sendReply's failure path cancels the
-    // connection's in-flight work).  Nothing takes writeMutex while
-    // holding inflightMutex_; the watchdog fires tokens outside it.
-    std::mutex inflightMutex_;
-    std::map<std::uint64_t, Inflight> inflightMap_;
-
-    std::mutex watchdogMutex_;
-    std::condition_variable watchdogCv_;
 };
 
 } // namespace serve

@@ -449,18 +449,55 @@ TEST(Cancel, TokenLatchesOnceAndDeadlineUsesSteadyClock)
     resil::Deadline none;
     EXPECT_FALSE(none.valid());
     EXPECT_FALSE(none.expired());
-    EXPECT_GT(none.remainingMs(), 1'000'000'000);
 
     resil::Deadline soon = resil::Deadline::after(0);
     EXPECT_TRUE(soon.valid());
     EXPECT_TRUE(soon.expired());
-    EXPECT_EQ(soon.remainingMs(), 0);
 
     resil::Deadline later = resil::Deadline::after(60'000);
     EXPECT_TRUE(later.valid());
     EXPECT_FALSE(later.expired());
-    EXPECT_GT(later.remainingMs(), 0);
-    EXPECT_LE(later.remainingMs(), 60'000);
+}
+
+TEST(Cancel, TokenEnforcesItsOwnDeadline)
+{
+    // Nobody calls cancel(): polling is what finds the deadline passed.
+    const resil::CancelToken expired(resil::Deadline::after(0));
+    EXPECT_TRUE(expired.cancelled());
+    EXPECT_EQ(expired.reason(), "deadline expired");
+    EXPECT_THROW(expired.throwIfCancelled(), resil::CancelledError);
+
+    const resil::CancelToken far(resil::Deadline::after(3'600'000));
+    EXPECT_FALSE(far.cancelled());
+    EXPECT_EQ(far.reason(), "");
+    EXPECT_NO_THROW(far.throwIfCancelled());
+}
+
+TEST(Cancel, ChildFollowsItsParentButNotTheOtherWay)
+{
+    resil::CancelToken parent;
+    resil::CancelToken child(resil::Deadline{}, &parent);
+    resil::CancelToken sibling(resil::Deadline::after(3'600'000), &parent);
+    EXPECT_FALSE(child.cancelled());
+
+    // Firing a child leaves its parent (and so its siblings) live.
+    child.cancel("child only");
+    EXPECT_TRUE(child.cancelled());
+    EXPECT_FALSE(parent.cancelled());
+    EXPECT_FALSE(sibling.cancelled());
+
+    // A fired parent fires every child, which reports the parent's
+    // reason unless its own latch fired first.
+    parent.cancel("peer gone");
+    EXPECT_TRUE(sibling.cancelled());
+    EXPECT_EQ(sibling.reason(), "peer gone");
+    try {
+        sibling.throwIfCancelled();
+        FAIL() << "throwIfCancelled did not throw";
+    } catch (const resil::CancelledError &e) {
+        EXPECT_STREQ(e.what(), "peer gone");
+    }
+    EXPECT_EQ(child.reason(), "child only");
 }
 
 TEST(FaultPlan, ConnFaultKindsResolveDeterministically)

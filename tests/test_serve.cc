@@ -3,9 +3,11 @@
  * Tests for trb::serve: frame round-trips, typed rejection of malformed
  * requests, FairQueue rotation and bounds, end-to-end fairness between
  * greedy clients, backpressure at the queue bound, graceful-shutdown
- * drain, the worker bound on running sims, and the headline soak --
- * hundreds of concurrent mixed cold/warm requests whose replies are
- * bit-identical to direct simulate() calls, at pool widths 1 and 8.
+ * drain, the worker bound on running sims, deadlines, clean hang-ups
+ * that count no error, half-closed and vanished peers, the daemon's
+ * thread count, and the headline soak -- hundreds of concurrent mixed
+ * cold/warm requests whose replies are bit-identical to direct
+ * simulate() calls, at pool widths 1 and 8.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -145,20 +148,34 @@ TEST_F(FramingTest, RejectsOversizedAnnouncedLength)
 
 TEST_F(FramingTest, DistinguishesCleanCloseFromTruncation)
 {
+    // A close on a frame boundary comes back through `closed` and is no
+    // error: no resil.errors.* counter moves.
     ::close(fds_[0]);
     fds_[0] = -1;
+    const std::uint64_t truncated =
+        counter("resil.errors.truncated_input");
     std::string got;
+    bool closed = false;
+    EXPECT_TRUE(serve::readFrame(fds_[1], got, &closed).ok());
+    EXPECT_TRUE(closed);
+    EXPECT_EQ(truncated, counter("resil.errors.truncated_input"));
+
+    // Asked without `closed` (the client's recv), it is a typed close.
     Status st = serve::readFrame(fds_[1], got);
-    EXPECT_TRUE(serve::isCleanClose(st));
+    EXPECT_EQ(ErrorClass::TruncatedInput, st.errorClass());
+    EXPECT_EQ("serve.closed", st.ruleViolated());
 
     // A half-written frame is *not* a clean close.
+    ::close(fds_[1]);
     ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_));
     ASSERT_EQ(5, ::write(fds_[0], "10\nab", 5));
     ::close(fds_[0]);
     fds_[0] = -1;
-    st = serve::readFrame(fds_[1], got);
+    closed = false;
+    st = serve::readFrame(fds_[1], got, &closed);
+    EXPECT_FALSE(closed);
     EXPECT_EQ(ErrorClass::TruncatedInput, st.errorClass());
-    EXPECT_FALSE(serve::isCleanClose(st));
+    EXPECT_EQ("serve.frame", st.ruleViolated());
 }
 
 // ---------------------------------------------------------------------
@@ -678,7 +695,7 @@ TEST_F(ServeDaemonTest, MetricTableStaysBoundedAcrossConnections)
     auto &reg = obs::MetricsRegistry::global();
     std::size_t after_first = 0;
     for (int conn = 0; conn < 4; ++conn) {
-        const std::uint64_t closes = counter("resil.errors.truncated_input");
+        const std::uint64_t hangups = counter("serve.disconnects");
         {
             ServeClient client;
             ASSERT_TRUE(client.connect(socketPath_).ok());
@@ -692,10 +709,10 @@ TEST_F(ServeDaemonTest, MetricTableStaysBoundedAcrossConnections)
             ASSERT_TRUE(client.call(req, reply).ok());
             ASSERT_TRUE(reply.ok) << reply.error.toString();
         }
-        // The daemon types a clean hang-up as a truncated_input status;
-        // wait for it, so each snapshot covers a connection's whole life.
+        // The reader counts the hang-up as it exits; wait for it, so
+        // each snapshot covers a connection's whole life.
         for (int spin = 0;
-             spin < 2000 && counter("resil.errors.truncated_input") == closes;
+             spin < 2000 && counter("serve.disconnects") == hangups;
              ++spin)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
@@ -704,6 +721,48 @@ TEST_F(ServeDaemonTest, MetricTableStaysBoundedAcrossConnections)
             after_first = rows;
         EXPECT_EQ(rows, after_first) << "connection " << conn;
     }
+    daemon.stop();
+}
+
+TEST_F(ServeDaemonTest, CleanHangUpsCountNoErrors)
+{
+    // Connect, call, close is how every client ends: however many do,
+    // no resil.errors.* counter may move.
+    par::ThreadPool pool(2);
+    ServeDaemon daemon(config(), &pool);
+    ASSERT_TRUE(daemon.start().ok());
+
+    auto errors = [] {
+        std::map<std::string, std::uint64_t> out;
+        for (const auto &entry :
+             obs::MetricsRegistry::global().snapshot().counters)
+            if (entry.path.rfind("resil.errors.", 0) == 0)
+                out[entry.path] = entry.value;
+        return out;
+    };
+    const std::map<std::string, std::uint64_t> before = errors();
+    const std::uint64_t hangups = counter("serve.disconnects");
+
+    const int kCycles = 5;
+    for (int i = 0; i < kCycles; ++i) {
+        ServeClient client;
+        ASSERT_TRUE(client.connect(socketPath_).ok());
+        ServeRequest req;
+        req.op = Op::Sim;
+        req.trace = "preset:int:5";
+        req.length = 2000;
+        req.useStore = false;
+        req.id = std::to_string(i);
+        ServeReply reply;
+        ASSERT_TRUE(client.call(req, reply).ok());
+        ASSERT_TRUE(reply.ok) << reply.error.toString();
+    }
+    for (int spin = 0;
+         spin < 2000 && counter("serve.disconnects") < hangups + kCycles;
+         ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(hangups + kCycles, counter("serve.disconnects"));
+    EXPECT_EQ(before, errors());
     daemon.stop();
 }
 
@@ -932,10 +991,8 @@ TEST_F(ServeDaemonTest, StartRejectsOversizedSocketPathTyped)
 
 TEST_F(ServeDaemonTest, QueuedPastDeadlineGetsTypedTimeout)
 {
-    ServeConfig cfg = config();
-    cfg.watchdogMs = 10;
     par::ThreadPool pool(2);   // one worker
-    ServeDaemon daemon(cfg, &pool);
+    ServeDaemon daemon(config(), &pool);
     ASSERT_TRUE(daemon.start().ok());
 
     const std::uint64_t timedBefore = counter("serve.timeout.queued") +
@@ -982,18 +1039,17 @@ TEST_F(ServeDaemonTest, QueuedPastDeadlineGetsTypedTimeout)
 
 TEST_F(ServeDaemonTest, InflightPastDeadlineIsCancelledMidSim)
 {
-    ServeConfig cfg = config();
-    cfg.watchdogMs = 5;
     par::ThreadPool pool(2);
-    ServeDaemon daemon(cfg, &pool);
+    ServeDaemon daemon(config(), &pool);
     ASSERT_TRUE(daemon.start().ok());
 
     const std::uint64_t timedBefore = counter("serve.timeout.queued") +
                                       counter("serve.timeout.cancelled");
 
-    // Hundreds of milliseconds of work against a 1 ms budget: the
-    // watchdog fires the token and the core's poll aborts the run --
-    // the reply must arrive in watchdog time, not simulation time.
+    // Hundreds of milliseconds of work against a 1 ms budget: the sim's
+    // token carries the deadline, so the worker's check or the core's
+    // next poll aborts the run -- the reply must arrive in poll time,
+    // not simulation time.
     ServeClient client;
     ASSERT_TRUE(client.connect(socketPath_).ok());
     ServeRequest req;
@@ -1016,10 +1072,8 @@ TEST_F(ServeDaemonTest, InflightPastDeadlineIsCancelledMidSim)
 
 TEST_F(ServeDaemonTest, DeadClientIsReapedAndInflightCancelled)
 {
-    ServeConfig cfg = config();
-    cfg.watchdogMs = 10;
     par::ThreadPool pool(2);
-    ServeDaemon daemon(cfg, &pool);
+    ServeDaemon daemon(config(), &pool);
     ASSERT_TRUE(daemon.start().ok());
 
     const std::uint64_t reapedBefore = counter("serve.reaped.dead");
@@ -1038,9 +1092,9 @@ TEST_F(ServeDaemonTest, DeadClientIsReapedAndInflightCancelled)
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }   // ...then vanish without ever reading the reply.
 
-    // The watchdog notices the hangup, cancels the in-flight work and
-    // reaps the connection instead of simulating half a million
-    // records for nobody.
+    // The reader's EOF check finds the peer gone and fires its
+    // connection's token: the in-flight work is cancelled instead of
+    // simulating half a million records for nobody.
     auto &reg = obs::MetricsRegistry::global();
     bool drained = false;
     for (int spin = 0; spin < 2000 && !drained; ++spin) {
@@ -1064,6 +1118,137 @@ TEST_F(ServeDaemonTest, DeadClientIsReapedAndInflightCancelled)
     ASSERT_TRUE(after.call(req, reply).ok());
     EXPECT_TRUE(reply.ok) << reply.error.toString();
     daemon.stop();
+}
+
+TEST_F(ServeDaemonTest, HalfClosedPeerGetsItsPipelinedReplies)
+{
+    // shutdown(SHUT_WR) after the last request is EOF to the reader but
+    // no hang-up: the peer still reads, so every reply must reach it.
+    par::ThreadPool pool(2);
+    ServeDaemon daemon(config(), &pool);
+    ASSERT_TRUE(daemon.start().ok());
+
+    const std::uint64_t reapedBefore = counter("serve.reaped.dead");
+    const std::uint64_t hangups = counter("serve.disconnects");
+
+    int fd = rawConnect(socketPath_);
+    ASSERT_GE(fd, 0);
+    // A reply that never comes fails the test instead of hanging it.
+    const timeval patience{10, 0};
+    ASSERT_EQ(0, ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &patience,
+                              sizeof(patience)));
+    for (int i = 0; i < 2; ++i) {
+        ServeRequest req;
+        req.op = Op::Sim;
+        req.trace = "preset:int:4";
+        req.length = 50000;
+        req.useStore = false;
+        req.id = std::to_string(i);
+        ASSERT_TRUE(serve::writeFrame(fd, serve::requestJson(req)).ok());
+    }
+    ASSERT_EQ(0, ::shutdown(fd, SHUT_WR));
+
+    std::set<std::string> ids;
+    for (int i = 0; i < 2; ++i) {
+        std::string payload;
+        ASSERT_TRUE(serve::readFrame(fd, payload).ok());
+        ServeReply reply;
+        ASSERT_TRUE(serve::parseReply(payload, reply).ok()) << payload;
+        EXPECT_TRUE(reply.ok) << reply.error.toString();
+        ids.insert(reply.id);
+    }
+    EXPECT_EQ(2u, ids.size());
+    for (int spin = 0;
+         spin < 2000 && counter("serve.disconnects") == hangups; ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(hangups + 1, counter("serve.disconnects"));
+    EXPECT_EQ(reapedBefore, counter("serve.reaped.dead"));
+    ::close(fd);
+    daemon.stop();
+}
+
+TEST_F(ServeDaemonTest, ClosedPeerCancelsItsRunningAndQueuedSims)
+{
+    // One worker: of three slow sims, one runs and two wait.  The peer
+    // then closes outright, and nothing of its is simulated for nobody:
+    // the running sim is cancelled and the queued ones are dropped.
+    par::ThreadPool pool(2);
+    ServeDaemon daemon(config(), &pool);
+    ASSERT_TRUE(daemon.start().ok());
+
+    const std::uint64_t reapedBefore = counter("serve.reaped.dead");
+    const std::uint64_t cancelledBefore =
+        counter("serve.timeout.cancelled");
+    const std::uint64_t droppedBefore = counter("serve.dropped.dead");
+    const std::uint64_t servedBefore = counter("serve.served");
+
+    auto &reg = obs::MetricsRegistry::global();
+    {
+        ServeClient victim;
+        ASSERT_TRUE(victim.connect(socketPath_).ok());
+        for (int i = 0; i < 3; ++i) {
+            ServeRequest req;
+            req.op = Op::Sim;
+            req.trace = "preset:membound:" + std::to_string(i + 1);
+            req.length = 500000;
+            req.useStore = false;
+            req.id = std::to_string(i);
+            ASSERT_TRUE(victim.send(req).ok());
+        }
+        // Once the pong arrives all three are admitted; once the gauge
+        // reads 1 the first is on the worker.
+        ServeRequest ping;
+        ping.op = Op::Ping;
+        ServeReply pong;
+        ASSERT_TRUE(victim.call(ping, pong).ok());
+        ASSERT_EQ("ping", pong.op);
+        for (int spin = 0;
+             spin < 2000 && reg.gaugeValue("serve.inflight") == 0.0;
+             ++spin)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_EQ(1.0, reg.gaugeValue("serve.inflight"));
+    }
+
+    bool drained = false;
+    for (int spin = 0; spin < 5000 && !drained; ++spin) {
+        drained = counter("serve.timeout.cancelled") > cancelledBefore &&
+                  counter("serve.dropped.dead") >= droppedBefore + 2;
+        if (!drained)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(drained);
+    EXPECT_EQ(cancelledBefore + 1, counter("serve.timeout.cancelled"));
+    EXPECT_EQ(droppedBefore + 2, counter("serve.dropped.dead"));
+    EXPECT_EQ(reapedBefore + 1, counter("serve.reaped.dead"));
+    EXPECT_EQ(servedBefore, counter("serve.served"));
+    daemon.stop();
+}
+
+/** Threads of this process, as /proc/self/task lists them. */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &task :
+         fs::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+TEST_F(ServeDaemonTest, IdleDaemonRunsOnlyAcceptAndWorkerThreads)
+{
+    // start() adds the accept thread and max(1, jobs - 1) workers, and
+    // nothing else: no timer thread wakes an idle daemon.
+    for (std::size_t jobs : {1, 3}) {
+        SCOPED_TRACE(jobs);
+        par::ThreadPool pool(jobs);
+        const std::size_t before = threadCount();
+        ServeDaemon daemon(config(), &pool);
+        ASSERT_TRUE(daemon.start().ok());
+        EXPECT_EQ(before + 1 + std::max<std::size_t>(1, jobs - 1),
+                  threadCount());
+        daemon.stop();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1240,7 +1425,6 @@ TEST_F(ServeDaemonTest, ChaosSoakSurvivesSocketFaultsAndRestart)
 
     ServeConfig cfg = config();
     cfg.queueBound = 32;
-    cfg.watchdogMs = 10;
     cfg.writeTimeoutMs = 2000;
     par::ThreadPool pool(4);
 

@@ -26,6 +26,7 @@
 #include "convert/improvements.hh"
 #include "experiments/experiment.hh"
 #include "obs/metrics.hh"
+#include "resil/cancel.hh"
 #include "resil/fault.hh"
 #include "sim/simulator.hh"
 #include "store/digest.hh"
@@ -433,6 +434,33 @@ TEST_F(StoreTest, SimulateBitIdenticalColdWarmDisabled)
                                       .useStore = false});
     EXPECT_FALSE(bypass.statsFromStore);
     EXPECT_EQ(bypass.stats.toBits(), warm.stats.toBits());
+}
+
+/**
+ * A token's deadline is enforced by simulate()'s own polls: once passed
+ * it aborts the run before anything is published, and a deadline that
+ * never passes changes no bit of the result.
+ */
+TEST_F(StoreTest, SimulateWithExpiredDeadlineThrowsAndPublishesNothing)
+{
+    CvpTrace cvp = TraceGenerator(serverParams(21)).generate(20000);
+    store::Store st(dir_);
+    const resil::CancelToken expired(resil::Deadline::after(0));
+    EXPECT_THROW(simulate(cvp, {.imps = kAllImps,
+                                .store = &st,
+                                .cancel = &expired}),
+                 resil::CancelledError);
+    EXPECT_TRUE(st.list().empty());
+}
+
+TEST_F(StoreTest, SimulateWithFarDeadlineIsBitIdentical)
+{
+    CvpTrace cvp = TraceGenerator(serverParams(21)).generate(20000);
+    const resil::CancelToken far(resil::Deadline::after(3'600'000));
+    SimResult plain = simulate(cvp, {.imps = kAllImps, .useStore = false});
+    SimResult polled = simulate(
+        cvp, {.imps = kAllImps, .useStore = false, .cancel = &far});
+    EXPECT_EQ(plain.stats.toBits(), polled.stats.toBits());
 }
 
 TEST_F(StoreTest, SimulateKeySeparatesConfigurations)

@@ -8,7 +8,9 @@
  * docs/serving.md) and runs them on max(1, TRB_JOBS - 1) worker threads
  * of its own, with per-client round-robin fairness and a bounded queue.
  * Warm requests are answered straight from the trb::store artifact
- * cache.
+ * cache.  A request's deadline_ms is enforced by the sim it runs, and a
+ * client that hangs up cancels its own sims: the daemon runs no timer
+ * thread.
  *
  * SIGTERM/SIGINT trigger a graceful shutdown: queued requests get a
  * typed `busy` reply, inflight simulations finish and flush, the
@@ -41,8 +43,7 @@ using namespace trb;
 void
 usage(std::ostream &os)
 {
-    os << "usage: trace_served [--socket PATH] [--queue N]\n"
-          "                    [--watchdog-ms N] [--write-ms N]\n"
+    os << "usage: trace_served [--socket PATH] [--queue N] [--write-ms N]\n"
           "\n"
           "Serve trb-serve-v1 simulation requests over a Unix-domain\n"
           "socket until SIGTERM/SIGINT.  docs/serving.md documents the\n"
@@ -53,9 +54,6 @@ usage(std::ostream &os)
           "                  or trb_serve.sock)\n"
           "  --queue N       queued-request bound before typed busy\n"
           "                  replies (default $TRB_SERVE_QUEUE or 64)\n"
-          "  --watchdog-ms N deadline/dead-client sweep period; 0\n"
-          "                  disables the watchdog (default\n"
-          "                  $TRB_SERVE_WATCHDOG_MS or 50)\n"
           "  --write-ms N    per-reply peer-readiness bound; 0 blocks\n"
           "                  (default $TRB_SERVE_WRITE_MS or 5000)\n"
           "  -h, --help      this text\n";
@@ -119,9 +117,6 @@ main(int argc, char **argv)
             if (!u64("--queue", bound, false))
                 return 2;
             cfg.queueBound = static_cast<std::size_t>(bound);
-        } else if (arg == "--watchdog-ms") {
-            if (!u64("--watchdog-ms", cfg.watchdogMs, true))
-                return 2;
         } else if (arg == "--write-ms") {
             if (!u64("--write-ms", cfg.writeTimeoutMs, true))
                 return 2;
