@@ -3,18 +3,14 @@
  * Figure 3: slowdown caused by the branch-regs and flag-reg improvements
  * versus the trace's branch MPKI.  Traces are sorted by increasing
  * baseline branch MPKI (the paper's dashed line); the expected shape is
- * slowdown growing with MPKI.
+ * slowdown growing with MPKI.  figureThree() computes it.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <vector>
 
 #include "common/env.hh"
 #include "experiments/bench_main.hh"
-#include "experiments/experiment.hh"
-#include "store/store.hh"
-#include "synth/suites.hh"
+#include "experiments/figures.hh"
 
 int
 main()
@@ -25,65 +21,17 @@ main()
                     "Figure 3: slowdown of branch-regs and flag-reg vs "
                     "branch MPKI (sorted by MPKI)",
                     [&] {
-    std::uint64_t len = traceLengthFromEnv(60000);
-    auto suite = cvp1PublicSuite(len);
-    CoreParams params = modernConfig();
-
-    struct Row
-    {
-        std::string name;
-        double mpki;
-        double branchRegsSlowdown;
-        double flagRegSlowdown;
-    };
-    // Index-addressed slots: the parallel harness runs the callback
-    // concurrently, so each trace writes rows[i] instead of appending.
-    std::vector<Row> rows(suiteCount(suite));
-
-    const bool storing = store::Store::global() != nullptr;
-    forEachTrace(suite, [&](std::size_t i, const TraceSpec &spec,
-                            const CvpTrace &cvp) {
-        store::Digest digest;
-        if (storing)
-            digest = store::digestCvpTrace(cvp);
-        const store::Digest *dp = storing ? &digest : nullptr;
-        SimStats base = simulate(cvp, {.imps = kImpNone, .params = params,
-                                       .cvpDigest = dp}).stats;
-        SimStats br = simulate(cvp, {.imps = kImpBranchRegs,
-                                     .params = params,
-                                     .cvpDigest = dp}).stats;
-        SimStats fr = simulate(cvp, {.imps = kImpFlagReg, .params = params,
-                                     .cvpDigest = dp}).stats;
-        rows[i] = {spec.name, base.branchMpki(),
-                   100.0 * (base.ipc() / br.ipc() - 1.0),
-                   100.0 * (base.ipc() / fr.ipc() - 1.0)};
-    });
-
-    // Quarantined traces never wrote their slot; drop the empty rows.
-    rows.erase(std::remove_if(rows.begin(), rows.end(),
-                              [](const Row &r) { return r.name.empty(); }),
-               rows.end());
-    std::sort(rows.begin(), rows.end(),
-              [](const Row &a, const Row &b) { return a.mpki < b.mpki; });
+    const FigureThree fig =
+        figureThree(traceLengthFromEnv(kFigureTraceLength));
 
     std::printf("%-18s %10s %15s %15s\n", "trace", "brMPKI",
                 "branch-regs(%)", "flag-reg(%)");
-    double corr_n = 0, slow_lo = 0, slow_hi = 0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
+    for (const FigureThree::Row &r : fig.rows)
         std::printf("%-18s %10.2f %+15.2f %+15.2f\n", r.name.c_str(),
-                    r.mpki, r.branchRegsSlowdown, r.flagRegSlowdown);
-        if (i < rows.size() / 4)
-            slow_lo += r.flagRegSlowdown;
-        if (i >= rows.size() - rows.size() / 4)
-            slow_hi += r.flagRegSlowdown;
-        corr_n += 1;
-    }
-    if (!rows.empty()) {
-        double q = static_cast<double>(rows.size() / 4);
+                    r.branchMpki, r.branchRegsSlowdown, r.flagRegSlowdown);
+    if (!fig.rows.empty())
         std::printf("\nflag-reg slowdown, lowest-MPKI quartile: %+0.2f%%  "
                     "highest-MPKI quartile: %+0.2f%%\n",
-                    slow_lo / q, slow_hi / q);
-    }
+                    fig.flagRegSlowdown.lowest, fig.flagRegSlowdown.highest);
                     });
 }

@@ -3,18 +3,14 @@
  * Figure 4: speedup of the base-update improvement versus the fraction
  * of instructions that are writeback (base-updating) loads.  Traces are
  * sorted by that fraction (the paper's dashed line); the expected shape
- * is speedup growing with the fraction.
+ * is speedup growing with the fraction.  figureFour() computes it.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <vector>
 
 #include "common/env.hh"
 #include "experiments/bench_main.hh"
-#include "experiments/experiment.hh"
-#include "store/store.hh"
-#include "synth/suites.hh"
+#include "experiments/figures.hh"
 
 int
 main()
@@ -25,61 +21,16 @@ main()
                     "Figure 4: base-update speedup vs writeback-load density "
                     "(sorted by density)",
                     [&] {
-    std::uint64_t len = traceLengthFromEnv(60000);
-    auto suite = cvp1PublicSuite(len);
-    CoreParams params = modernConfig();
-
-    struct Row
-    {
-        std::string name;
-        double wbLoadPct;
-        double speedup;
-    };
-    // Index-addressed slots: the parallel harness runs the callback
-    // concurrently, so each trace writes rows[i] instead of appending.
-    std::vector<Row> rows(suiteCount(suite));
-
-    const bool storing = store::Store::global() != nullptr;
-    forEachTrace(suite, [&](std::size_t i, const TraceSpec &spec,
-                            const CvpTrace &cvp) {
-        store::Digest digest;
-        if (storing)
-            digest = store::digestCvpTrace(cvp);
-        const store::Digest *dp = storing ? &digest : nullptr;
-        SimStats base = simulate(cvp, {.imps = kImpNone, .params = params,
-                                       .cvpDigest = dp}).stats;
-        SimStats bu = simulate(cvp, {.imps = kImpBaseUpdate,
-                                     .params = params,
-                                     .cvpDigest = dp}).stats;
-        rows[i] = {spec.name, 100.0 * writebackLoadFraction(cvp),
-                   100.0 * (bu.ipc() / base.ipc() - 1.0)};
-    });
-
-    // Quarantined traces never wrote their slot; drop the empty rows.
-    rows.erase(std::remove_if(rows.begin(), rows.end(),
-                              [](const Row &r) { return r.name.empty(); }),
-               rows.end());
-    std::sort(rows.begin(), rows.end(), [](const Row &a, const Row &b) {
-        return a.wbLoadPct < b.wbLoadPct;
-    });
+    const FigureFour fig = figureFour(traceLengthFromEnv(kFigureTraceLength));
 
     std::printf("%-18s %14s %12s\n", "trace", "wb-loads(%)",
                 "speedup(%)");
-    double lo = 0, hi = 0;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
+    for (const FigureFour::Row &r : fig.rows)
         std::printf("%-18s %14.2f %+12.2f\n", r.name.c_str(), r.wbLoadPct,
                     r.speedup);
-        if (i < rows.size() / 4)
-            lo += r.speedup;
-        if (i >= rows.size() - rows.size() / 4)
-            hi += r.speedup;
-    }
-    if (!rows.empty()) {
-        double q = static_cast<double>(rows.size() / 4);
+    if (!fig.rows.empty())
         std::printf("\nspeedup, lowest-density quartile: %+0.2f%%  "
                     "highest-density quartile: %+0.2f%%\n",
-                    lo / q, hi / q);
-    }
+                    fig.speedup.lowest, fig.speedup.highest);
                     });
 }

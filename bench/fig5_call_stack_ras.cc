@@ -4,18 +4,15 @@
  * (RAS) target MPKI under the original converter, show the return MPKI
  * before and after the fix and the resulting IPC speedup.  Paper shape:
  * an order-of-magnitude return-MPKI drop on the affected subset and IPC
- * gains of several percent.
+ * gains of several percent.  figureFive() computes it.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <vector>
 
 #include "common/env.hh"
 #include "experiments/bench_main.hh"
-#include "experiments/experiment.hh"
-#include "store/store.hh"
-#include "synth/suites.hh"
+#include "experiments/figures.hh"
 
 int
 main()
@@ -26,56 +23,19 @@ main()
                     "Figure 5: call-stack fix on the highest return-MPKI "
                     "traces (sorted descending)",
                     [&] {
-    std::uint64_t len = traceLengthFromEnv(60000);
-    auto suite = cvp1PublicSuite(len);
-    CoreParams params = modernConfig();
-
-    struct Row
-    {
-        std::string name;
-        double rasMpkiOrig;
-        double rasMpkiFixed;
-        double speedup;
-    };
-    // Index-addressed slots: the parallel harness runs the callback
-    // concurrently, so each trace writes rows[i] instead of appending.
-    std::vector<Row> rows(suiteCount(suite));
-
-    const bool storing = store::Store::global() != nullptr;
-    forEachTrace(suite, [&](std::size_t i, const TraceSpec &spec,
-                            const CvpTrace &cvp) {
-        store::Digest digest;
-        if (storing)
-            digest = store::digestCvpTrace(cvp);
-        const store::Digest *dp = storing ? &digest : nullptr;
-        SimStats base = simulate(cvp, {.imps = kImpNone, .params = params,
-                                       .cvpDigest = dp}).stats;
-        SimStats fixed = simulate(cvp, {.imps = kImpCallStack,
-                                        .params = params,
-                                        .cvpDigest = dp}).stats;
-        rows[i] = {spec.name, base.returnMpki(), fixed.returnMpki(),
-                   100.0 * (fixed.ipc() / base.ipc() - 1.0)};
-    });
-
-    // Quarantined traces never wrote their slot; drop the empty rows.
-    rows.erase(std::remove_if(rows.begin(), rows.end(),
-                              [](const Row &r) { return r.name.empty(); }),
-               rows.end());
-    std::sort(rows.begin(), rows.end(), [](const Row &a, const Row &b) {
-        return a.rasMpkiOrig > b.rasMpkiOrig;
-    });
+    const FigureFive fig = figureFive(traceLengthFromEnv(kFigureTraceLength));
 
     std::printf("%-18s %14s %14s %12s\n", "trace", "retMPKI(orig)",
                 "retMPKI(fix)", "speedup(%)");
-    std::size_t shown = std::min<std::size_t>(20, rows.size());
+    std::size_t shown = std::min<std::size_t>(20, fig.rows.size());
     for (std::size_t i = 0; i < shown; ++i) {
-        const Row &r = rows[i];
+        const FigureFive::Row &r = fig.rows[i];
         std::printf("%-18s %14.2f %14.2f %+12.2f\n", r.name.c_str(),
                     r.rasMpkiOrig, r.rasMpkiFixed, r.speedup);
     }
     std::printf("... (%zu further traces with return MPKI %.2f or "
                 "below)\n",
-                rows.size() - shown,
-                shown < rows.size() ? rows[shown].rasMpkiOrig : 0.0);
+                fig.rows.size() - shown,
+                shown < fig.rows.size() ? fig.rows[shown].rasMpkiOrig : 0.0);
                     });
 }

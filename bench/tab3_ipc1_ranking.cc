@@ -6,23 +6,17 @@
  * ideal target predictor, 50%% warm-up), once on the "competition"
  * traces (original conversion) and once on the fixed traces (all
  * improvements except mem-footprint, per the paper's footnote 4).
+ * tableThree() computes it.
  *
  * Paper shape to reproduce: larger speedups on the fixed traces and a
  * mid-pack reshuffle of the ranking.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <limits>
-#include <map>
-#include <vector>
 
 #include "common/env.hh"
-#include "common/stats.hh"
 #include "experiments/bench_main.hh"
-#include "experiments/experiment.hh"
-#include "ipref/instr_prefetcher.hh"
-#include "synth/suites.hh"
+#include "experiments/figures.hh"
 
 int
 main()
@@ -32,59 +26,19 @@ main()
     // The title carries only one newline historically, so it is printed
     // by the body; runBench gets an empty title.
     return runBench("tab3", "", [&] {
-    // Temporal prefetchers need history reuse: this experiment defaults
-    // to longer traces than the figures (override with TRB_TRACE_LEN).
-    std::uint64_t len = traceLengthFromEnv(200000);
-    auto suite = ipc1Suite(len);
-    CoreParams params = ipc1Config();
-    constexpr double kWarmup = 0.5;
-
-    const auto &names = ipc1PrefetcherNames();
-    // speedups[setIndex][prefetcher] = per-trace IPC ratios.  The maps
-    // are fully populated (and the per-trace vectors pre-sized) before
-    // the parallel loop, so concurrent tasks only assign distinct
-    // elements -- no rehash, no append, deterministic merge.
-    const std::size_t count = suiteCount(suite);
-    std::map<std::string, std::vector<double>> speedups[2];
-    for (int v = 0; v < 2; ++v)
-        for (const std::string &name : names)
-            speedups[v][name].assign(
-                count, std::numeric_limits<double>::quiet_NaN());
-    const ImprovementSet sets[2] = {kImpNone, kIpc1Imps};
+    const TableThree table =
+        tableThree(traceLengthFromEnv(kTableThreeTraceLength));
     const char *set_names[2] = {"Competition traces", "Fixed traces"};
-
-    forEachTrace(suite, [&](std::size_t i, const TraceSpec &,
-                            const CvpTrace &cvp) {
-        for (int v = 0; v < 2; ++v) {
-            Cvp2ChampSim conv(sets[v]);
-            ChampSimTrace trace = conv.convert(cvp);
-            SimStats base = simulate(ChampSimView(trace),
-                                     {.params = params,
-                                      .warmupFraction = kWarmup}).stats;
-            for (const std::string &name : names) {
-                auto pf = makeInstrPrefetcher(name);
-                SimStats s = simulate(ChampSimView(trace),
-                                      {.params = params,
-                                       .warmupFraction = kWarmup,
-                                       .ipref = pf.get()}).stats;
-                speedups[v].at(name)[i] = s.ipc() / base.ipc();
-            }
-        }
-    });
 
     std::printf("Table 3: IPC-1 ranking, geomean speedup over "
                 "no-prefetcher\n");
     for (int v = 0; v < 2; ++v) {
-        std::vector<std::pair<double, std::string>> ranking;
-        for (const std::string &name : names)
-            ranking.emplace_back(
-                geomean(finiteValues(speedups[v][name])), name);
-        std::sort(ranking.rbegin(), ranking.rend());
+        const std::vector<PrefetcherScore> &ranking = table.ranking[v];
         std::printf("\n%s\n%-6s %-12s %-8s\n", set_names[v], "rank",
                     "prefetcher", "speedup");
         for (std::size_t r = 0; r < ranking.size(); ++r)
             std::printf("%-6zu %-12s %.4f\n", r + 1,
-                        ranking[r].second.c_str(), ranking[r].first);
+                        ranking[r].name.c_str(), ranking[r].speedup);
     }
     });
 }

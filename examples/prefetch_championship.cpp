@@ -9,16 +9,11 @@
  * Usage:  prefetch_championship [traces] [length]
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <string>
 #include <vector>
 
-#include "common/stats.hh"
-#include "experiments/experiment.hh"
-#include "ipref/instr_prefetcher.hh"
+#include "experiments/figures.hh"
 #include "par/thread_pool.hh"
 #include "synth/generator.hh"
 
@@ -32,56 +27,26 @@ main(int argc, char **argv)
     std::uint64_t length =
         argc >= 3 ? std::strtoull(argv[2], nullptr, 10) : 120000;
 
-    CoreParams core = ipc1Config();
-    // Pre-populated maps + pre-sized vectors: concurrent tasks assign
-    // distinct elements, so the ranking is identical for any TRB_JOBS.
-    std::map<std::string, std::vector<double>> speedups[2];
-    for (int v = 0; v < 2; ++v)
-        for (const std::string &name : ipc1PrefetcherNames())
-            speedups[v][name].resize(ntraces);
-    std::vector<std::string> reports(ntraces);
-    const ImprovementSet sets[2] = {kImpNone, kIpc1Imps};
-
+    // Index-addressed rows: the ranking is identical for any TRB_JOBS.
+    std::vector<Ipc1Row> rows(ntraces);
     par::ThreadPool::global().parallelFor(ntraces, [&](std::size_t i) {
         WorkloadParams params = serverParams(1000 + i);
         params.numFunctions = 400 + 150 * static_cast<unsigned>(i);
-        CvpTrace cvp = TraceGenerator(params).generate(length);
-        for (int v = 0; v < 2; ++v) {
-            Cvp2ChampSim conv(sets[v]);
-            ChampSimTrace trace = conv.convert(cvp);
-            SimStats base = simulate(ChampSimView(trace),
-                                     {.params = core,
-                                      .warmupFraction = 0.5}).stats;
-            char buf[96];
-            std::snprintf(buf, sizeof(buf),
-                          "trace %zu (%s): baseline IPC %.3f, L1I MPKI "
-                          "%.1f\n",
-                          i, v ? "fixed" : "competition", base.ipc(),
-                          base.l1iMpki());
-            reports[i] += buf;
-            for (const std::string &name : ipc1PrefetcherNames()) {
-                auto pf = makeInstrPrefetcher(name);
-                SimStats s = simulate(ChampSimView(trace),
-                                      {.params = core,
-                                       .warmupFraction = 0.5,
-                                       .ipref = pf.get()}).stats;
-                speedups[v].at(name)[i] = s.ipc() / base.ipc();
-            }
-        }
+        rows[i] = ipc1Row(TraceGenerator(params).generate(length));
     });
-    for (const std::string &report : reports)
-        std::printf("%s", report.c_str());
+    for (std::size_t i = 0; i < ntraces; ++i)
+        for (int v = 0; v < 2; ++v)
+            std::printf("trace %zu (%s): baseline IPC %.3f, L1I MPKI %.1f\n",
+                        i, v ? "fixed" : "competition", rows[i].base[v].ipc(),
+                        rows[i].base[v].l1iMpki());
 
+    const TableThree table = rankPrefetchers(rows);
     for (int v = 0; v < 2; ++v) {
-        std::vector<std::pair<double, std::string>> rank;
-        for (auto &[name, ratios] : speedups[v])
-            rank.emplace_back(geomean(ratios), name);
-        std::sort(rank.rbegin(), rank.rend());
-        std::printf("\n=== %s traces ===\n",
-                    v ? "Fixed" : "Competition");
+        const std::vector<PrefetcherScore> &rank = table.ranking[v];
+        std::printf("\n=== %s traces ===\n", v ? "Fixed" : "Competition");
         for (std::size_t r = 0; r < rank.size(); ++r)
             std::printf("%zu. %-10s %.4f\n", r + 1,
-                        rank[r].second.c_str(), rank[r].first);
+                        rank[r].name.c_str(), rank[r].speedup);
     }
     return 0;
 }

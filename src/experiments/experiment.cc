@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -274,22 +273,6 @@ writebackLoadFraction(const CvpTrace &trace)
     return trace.empty() ? 0.0
                          : static_cast<double>(wb_loads) /
                                static_cast<double>(trace.size());
-}
-
-std::string
-cell(double v, int width, int precision)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%*.*f", width, precision, v);
-    return buf;
-}
-
-std::string
-cell(const std::string &s, int width)
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%-*s", width, s.c_str());
-    return buf;
 }
 
 } // namespace trb

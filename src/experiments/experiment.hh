@@ -1,9 +1,9 @@
 /**
  * @file
  * Experiment harness shared by the bench binaries: suite iteration with
- * per-trace generation (trace-major, so memory stays bounded), the
- * improvement-set sweep each figure needs, and small table/series
- * formatting helpers.
+ * per-trace generation (trace-major, so memory stays bounded) and the
+ * improvement-set sweep of Figures 1-2.  figures.hh computes the
+ * figures that two programs read on top of it.
  *
  * Since PR 2 the harness is parallel: forEachTrace() dispatches one
  * task per trace onto trb::par::ThreadPool::global() (TRB_JOBS threads,
@@ -129,10 +129,6 @@ std::vector<DeltaSeries> runImprovementSweep(
 /** Fraction of CVP-1 instructions that are writeback (base-update)
  *  loads, the x-axis of Figure 4. */
 double writebackLoadFraction(const CvpTrace &trace);
-
-/** Format a value into a fixed-width right-aligned cell. */
-std::string cell(double v, int width, int precision);
-std::string cell(const std::string &s, int width);
 
 } // namespace trb
 

@@ -1,25 +1,26 @@
 /**
  * @file
  * Integration tests: the experiment harness plumbing, and -- most
- * importantly -- the paper's headline directional results on a reduced
- * suite.  These are the assertions that would catch a regression that
- * flipped the sign of an improvement.
+ * importantly -- the paper's headline directional results, asserted on
+ * the numbers the figure benches print.  These are the assertions that
+ * would catch a regression that flipped the sign of an improvement.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <utility>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "experiments/experiment.hh"
+#include "experiments/figures.hh"
 #include "obs/metrics.hh"
 #include "store/store.hh"
 #include "synth/generator.hh"
@@ -135,98 +136,79 @@ TEST(PaperDirections, FigureOneSigns)
 }
 
 /**
- * The paper's Figure 5 over the whole BLR-X30 subset: on every CVP-1
- * trace that returns through BLR X30, the original conversion leaves
- * return MPKI high, and the call-stack fix cuts it by an order of
- * magnitude and raises IPC.
- */
-TEST(PaperDirections, CallStackFixesReturnMpkiOnBlrTraces)
-{
-    std::vector<TraceSpec> blr;
-    for (const auto &spec : cvp1PublicSuite(30000))
-        if (spec.params.blrX30Frac > 0.0)
-            blr.push_back(spec);
-    ASSERT_EQ(blr.size(), 14u);
-
-    for (const TraceSpec &spec : blr) {
-        SCOPED_TRACE(spec.name);
-        CvpTrace cvp = TraceGenerator(spec.params).generate(spec.length);
-        SimStats orig = simulate(cvp, {.imps = kImpNone}).stats;
-        SimStats fixed = simulate(cvp, {.imps = kImpCallStack}).stats;
-        EXPECT_GT(orig.returnMpki(), 5.0);
-        EXPECT_LT(fixed.returnMpki(), orig.returnMpki() / 10.0);
-        EXPECT_GT(fixed.ipc(), orig.ipc());
-    }
-}
-
-/** One trace of a figure's scatter: x sorts it, y is averaged. */
-struct Point
-{
-    double x;
-    double y;
-};
-
-/**
- * Mean y over the quarter of @p points with the lowest x and over the
- * quarter with the highest x, as the figure benches report them.
- */
-std::pair<double, double>
-quartileMeans(std::vector<Point> points)
-{
-    std::sort(points.begin(), points.end(),
-              [](const Point &a, const Point &b) { return a.x < b.x; });
-    const std::size_t q = points.size() / 4;
-    EXPECT_GT(q, 0u);
-    double lowest = 0.0, highest = 0.0;
-    for (std::size_t i = 0; i < q; ++i) {
-        lowest += points[i].y / static_cast<double>(q);
-        highest += points[points.size() - 1 - i].y / static_cast<double>(q);
-    }
-    return {lowest, highest};
-}
-
-/**
- * The paper's Figure 3 over the whole CVP-1 suite, at the length
- * bench/fig3_branch_mpki_slowdown runs by default: flag-reg's slowdown
- * grows with the trace's branch MPKI, so the highest-MPKI quartile of
- * traces slows down more on average than the lowest.
+ * The paper's Figure 3, as its bench prints it: flag-reg slows the
+ * highest-MPKI quartile of traces down more than the lowest.
  */
 TEST(PaperDirections, FlagRegSlowdownRisesWithBranchMpki)
 {
-    std::vector<Point> points;
-    for (const TraceSpec &spec : cvp1PublicSuite(60000)) {
-        CvpTrace cvp = TraceGenerator(spec.params).generate(spec.length);
-        SimStats orig = simulate(cvp, {.imps = kImpNone}).stats;
-        SimStats fixed = simulate(cvp, {.imps = kImpFlagReg}).stats;
-        points.push_back({orig.branchMpki(), orig.ipc() / fixed.ipc() - 1.0});
-    }
-    const auto [lowest, highest] = quartileMeans(points);
-    EXPECT_GT(highest, lowest)
-        << "mean slowdown, lowest-MPKI quartile " << 100.0 * lowest
-        << "%, highest " << 100.0 * highest << "%";
+    const FigureThree fig = figureThree(kFigureTraceLength);
+    ASSERT_EQ(fig.rows.size(), 135u);
+    EXPECT_GT(fig.flagRegSlowdown.highest, fig.flagRegSlowdown.lowest);
 }
 
 /**
- * The paper's Figure 4 over the whole CVP-1 suite: base-update's speedup
- * grows with the fraction of writeback (base-updating) loads, so the
- * densest quartile of traces gains more on average than the sparsest.
- * The whole suite, because one outlier flips the reduced suite's
- * 15 traces.
+ * The paper's Figure 4, as its bench prints it: base-update speeds the
+ * densest writeback-load quartile of traces up more than the sparsest.
  */
 TEST(PaperDirections, BaseUpdateSpeedupRisesWithWritebackDensity)
 {
-    std::vector<Point> points;
-    for (const TraceSpec &spec : cvp1PublicSuite(30000)) {
-        CvpTrace cvp = TraceGenerator(spec.params).generate(spec.length);
-        SimStats orig = simulate(cvp, {.imps = kImpNone}).stats;
-        SimStats fixed = simulate(cvp, {.imps = kImpBaseUpdate}).stats;
-        points.push_back(
-            {writebackLoadFraction(cvp), fixed.ipc() / orig.ipc() - 1.0});
+    const FigureFour fig = figureFour(kFigureTraceLength);
+    ASSERT_EQ(fig.rows.size(), 135u);
+    EXPECT_GT(fig.speedup.highest, fig.speedup.lowest);
+}
+
+/**
+ * The paper's Figure 5, as its bench prints it: on every trace that
+ * returns through BLR X30, the original conversion leaves return MPKI
+ * high, and the call-stack fix cuts it tenfold and raises IPC.
+ */
+TEST(PaperDirections, CallStackFixesReturnMpkiOnBlrTraces)
+{
+    std::set<std::string> blr;
+    for (const TraceSpec &spec : cvp1PublicSuite(kFigureTraceLength))
+        if (spec.params.blrX30Frac > 0.0)
+            blr.insert(spec.name);
+    ASSERT_EQ(blr.size(), 14u);
+    const FigureFive fig = figureFive(kFigureTraceLength);
+    ASSERT_EQ(fig.rows.size(), 135u);
+    for (const FigureFive::Row &row : fig.rows) {
+        if (!blr.count(row.name))
+            continue;
+        SCOPED_TRACE(row.name);
+        EXPECT_GT(row.rasMpkiOrig, 5.0);
+        EXPECT_LT(row.rasMpkiFixed, row.rasMpkiOrig / 10.0);
+        EXPECT_GT(row.speedup, 0.0);
     }
-    const auto [lowest, highest] = quartileMeans(points);
-    EXPECT_GT(highest, lowest)
-        << "mean speedup, lowest-density quartile " << 100.0 * lowest
-        << "%, highest " << 100.0 * highest << "%";
+}
+
+/**
+ * The paper's Table 3, as its bench prints it: on the fixed traces most
+ * of the eight IPC-1 prefetchers gain more, and the ranking changes.
+ */
+TEST(PaperDirections, FixedTracesRaiseMostPrefetchersAndReRankThem)
+{
+    const TableThree table = tableThree(kTableThreeTraceLength);
+    ASSERT_EQ(table.traces, 50u);
+    const std::vector<PrefetcherScore> &competition = table.ranking[0];
+    const std::vector<PrefetcherScore> &fixed = table.ranking[1];
+    ASSERT_EQ(competition.size(), 8u);
+    ASSERT_EQ(fixed.size(), 8u);
+
+    std::string scores;  // both rankings, for the failure messages
+    for (int v = 0; v < 2; ++v) {
+        scores += v ? "\nfixed:      " : "competition:";
+        for (const PrefetcherScore &s : table.ranking[v])
+            scores += " " + s.name + " " + std::to_string(s.speedup);
+    }
+    unsigned rises = 0;
+    for (const PrefetcherScore &f : fixed)
+        for (const PrefetcherScore &c : competition)
+            rises += c.name == f.name && f.speedup > c.speedup;
+    EXPECT_GE(rises, 5u) << scores;
+    bool reranked = false;
+    for (std::size_t r = 0; r < fixed.size(); ++r)
+        reranked |= fixed[r].name != competition[r].name;
+    EXPECT_TRUE(reranked) << scores;
 }
 
 /**

@@ -701,8 +701,9 @@ TEST(Harness, SweepSparesCleanTracesBitIdentically)
         EXPECT_TRUE(std::isfinite(faulted[k].geomeanDeltaPercent()));
     }
     for (std::size_t i = 0; i < suite.size(); ++i)
-        if (!afflicted[i])
+        if (!afflicted[i]) {
             EXPECT_EQ(faulted_base[i].cycles, clean_base[i].cycles);
+        }
 }
 
 TEST(SimStats, BitsRoundTrip)

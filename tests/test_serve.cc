@@ -910,8 +910,9 @@ TEST_F(ServeDaemonTest, StopDrainsQueuedRequestsWithTypedBusy)
         ServeReply reply;
         ASSERT_TRUE(client.recv(reply).ok());
         EXPECT_EQ("sim", reply.op);
-        if (!reply.ok)
+        if (!reply.ok) {
             EXPECT_EQ(ErrorClass::Busy, reply.error.errorClass());
+        }
     }
     EXPECT_EQ(4, answered);
 }
@@ -1368,8 +1369,9 @@ runSoak(ServeConfig cfg, par::ThreadPool &pool, int threads,
     EXPECT_EQ(static_cast<std::size_t>(total), seqs.size());
     EXPECT_EQ(servedBefore + static_cast<std::uint64_t>(total),
               counter("serve.served"));
-    if (wantBusy)
+    if (wantBusy) {
         EXPECT_GT(counter("serve.rejected.busy"), busyBefore);
+    }
     daemon.stop();
 }
 
