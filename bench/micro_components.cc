@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 
 #include "cache/hierarchy.hh"
@@ -156,13 +157,32 @@ BM_CoreSimulationTraced(benchmark::State &state)
     obs::PipelineTracer tracer(4096);
     for (auto _ : state) {
         O3Core core(modernConfig());
-        core.setTracer(&tracer);
-        SimStats s = core.run(trace);
+        SimStats s = core.runTraced(trace, 0, tracer);
         benchmark::DoNotOptimize(s.cycles);
     }
     state.SetItemsProcessed(state.iterations() * trace.size());
 }
 BENCHMARK(BM_CoreSimulationTraced);
+
+void
+BM_CoreSimulationReplay(benchmark::State &state)
+{
+    // BM_CoreSimulation's run with the branch answers read from a tape
+    // recorded outside the timed loop: the difference prices TAGE-SC-L,
+    // ITTAGE, the BTB and the RAS, tables built and trained.
+    CvpTrace cvp = TraceGenerator(serverParams(11)).generate(20000);
+    Cvp2ChampSim conv(kAllImps);
+    ChampSimTrace trace = conv.convert(cvp);
+    BranchTape tape;
+    O3Core(modernConfig()).runRecording(trace, 0, tape);
+    for (auto _ : state) {
+        O3Core core(modernConfig());
+        std::optional<SimStats> s = core.replay(trace, 0, tape);
+        benchmark::DoNotOptimize(s->cycles);
+    }
+    state.SetItemsProcessed(state.iterations() * trace.size());
+}
+BENCHMARK(BM_CoreSimulationReplay);
 
 void
 BM_CoreSimulationCancelPoll(benchmark::State &state)

@@ -72,9 +72,7 @@ main(int argc, char **argv)
     SimStats stats = [&] {
         obs::SpanScope span(obs::kSimulatePhase);
         span.setItems(trace.size());
-        O3Core core(modernConfig());
-        core.setTracer(&tracer);
-        return core.run(trace);
+        return O3Core(modernConfig()).runTraced(trace, 0, tracer);
     }();
 
     // Every file before any stdout: a reader that closes stdout early

@@ -186,7 +186,8 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
     const bool storing = store::Store::global() != nullptr;
     // Under TRB_LINT every cell converts, so lint sees every stream.
     const bool linting = lint::lintEnabledFromEnv();
-    std::atomic<std::uint64_t> from_baseline{0};
+    std::atomic<std::uint64_t> from_baseline{0}, replayed{0},
+        mismatched{0};
     obs::SpanScope sweep_span("sweep");
     forEachTrace(
         suite,
@@ -198,10 +199,18 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
                 cvp_digest = store::digestCvpTrace(cvp);
             const store::Digest *digest_ptr =
                 storing ? &cvp_digest : nullptr;
-            const SimStats base = simulate(cvp, {.imps = kImpNone,
-                                                 .params = params,
-                                                 .cvpDigest = digest_ptr})
-                                      .stats;
+            // The baseline's branch answers serve every simulated cell
+            // of the row whose branch stream is the baseline's; there
+            // are none when the store answered the baseline.
+            BranchTape tape;
+            const SimResult base_run =
+                simulate(cvp, {.imps = kImpNone,
+                               .params = params,
+                               .cvpDigest = digest_ptr,
+                               .recordTape = &tape});
+            const SimStats &base = base_run.stats;
+            const BranchTape *replay =
+                base_run.statsFromStore ? nullptr : &tape;
             if (baseline_out)
                 (*baseline_out)[i] = base;
             // Buffer this task's gauges and flush them in one batch at
@@ -228,11 +237,14 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
                 }
                 obs::SpanScope set_span("set", sets[k].name);
                 set_span.setItems(cvp.size());
-                SimStats s = simulate(cvp, {.imps = sets[k].set,
-                                            .params = params,
-                                            .cvpDigest = digest_ptr})
-                                 .stats;
-                series[k].ratio[i] = s.ipc() / base.ipc();
+                const SimResult cell = simulate(cvp, {.imps = sets[k].set,
+                                                      .params = params,
+                                                      .cvpDigest = digest_ptr,
+                                                      .replayTape = replay});
+                if (replay && !cell.statsFromStore)
+                    (cell.replayed ? replayed : mismatched)
+                        .fetch_add(1, std::memory_order_relaxed);
+                series[k].ratio[i] = cell.stats.ipc() / base.ipc();
             });
             for (std::size_t k = 0; k < sets.size(); ++k)
                 metrics.set("sweep." + series[k].setName + "." +
@@ -243,6 +255,8 @@ runImprovementSweep(const std::vector<TraceSpec> &suite,
     // Post-join, single-threaded: the summary gauges land in the
     // registry in series order whatever the task schedule was.
     reg.addCounter("sweep.cells_from_baseline", from_baseline.load());
+    reg.addCounter("sweep.cells_replayed", replayed.load());
+    reg.addCounter("sweep.tape_mismatches", mismatched.load());
     std::vector<std::uint64_t> ratio_bits;
     for (const DeltaSeries &s : series) {
         reg.setGauge("sweep." + s.setName + ".geomean_delta_percent",

@@ -108,6 +108,15 @@ struct DeltaSeries
  * up the store; the counter sweep.cells_from_baseline counts them.
  * Under TRB_LINT every cell still converts, so lint sees every stream.
  *
+ * The baseline records its branch answers on a BranchTape, and every
+ * simulated cell of the row replays them instead of predicting (see
+ * pipeline/branch_tape.hh).  A cell whose branch stream differs -- the
+ * call-stack fix on a trace with BLR X30, for one -- stops replaying at
+ * the first differing branch and is simulated plainly; either way its
+ * stats are the plain run's.  sweep.cells_replayed and
+ * sweep.tape_mismatches count the two outcomes; a cell or baseline
+ * served from the store counts in neither.
+ *
  * Failure policy and resume: quarantined traces (see forEachTrace())
  * leave NaN ratios and default baseline stats; the sweep continues.
  * Under TRB_STORE every simulated cell's SimStats are published as

@@ -18,7 +18,9 @@ namespace
 
 /** The rows @p fn makes from @p suite's traces, in suite order, with
  *  quarantined traces dropped; @p fn gets each trace and a sim(imps)
- *  under @p params that digests it for the store once. */
+ *  under @p params that digests it for the store once, records the
+ *  branch answers of the first run that simulates and replays them in
+ *  the later ones. */
 template <typename Row, typename Fn>
 std::vector<Row>
 traceRows(const std::vector<TraceSpec> &suite, const CoreParams &params,
@@ -30,13 +32,19 @@ traceRows(const std::vector<TraceSpec> &suite, const CoreParams &params,
     forEachTrace(suite, [&](std::size_t i, const TraceSpec &spec,
                             const CvpTrace &cvp) {
         std::optional<store::Digest> digest;
+        BranchTape tape;
+        bool recorded = false;
         auto sim = [&](ImprovementSet imps) {
             if (storing && !digest)
                 digest = store::digestCvpTrace(cvp);
-            return simulate(cvp, {.imps = imps,
-                                  .params = params,
-                                  .cvpDigest = digest ? &*digest : nullptr})
-                .stats;
+            const SimResult r = simulate(
+                cvp, {.imps = imps,
+                      .params = params,
+                      .cvpDigest = digest ? &*digest : nullptr,
+                      .recordTape = recorded ? nullptr : &tape,
+                      .replayTape = recorded ? &tape : nullptr});
+            recorded = recorded || !r.statsFromStore;
+            return r.stats;
         };
         slots[i] = fn(spec, cvp, sim);
     });
@@ -123,10 +131,23 @@ ipc1Row(const CvpTrace &cvp)
 {
     const ImprovementSet sets[2] = {kImpNone, kIpc1Imps};
     Ipc1Row row;
+    // A prefetcher never feeds the predictors, so each conversion's
+    // no-prefetcher run answers its prefetcher runs' branches; the fixed
+    // conversion first tries the competition's tape.
+    BranchTape tapes[2];
+    const BranchTape *fit = nullptr;
     for (int v = 0; v < 2; ++v) {
         const ChampSimTrace trace = Cvp2ChampSim(sets[v]).convert(cvp);
-        SimRequest req{.params = ipc1Config(), .warmupFraction = 0.5};
-        row.base[v] = simulate(ChampSimView(trace), req).stats;
+        SimRequest req{.params = ipc1Config(),
+                       .warmupFraction = 0.5,
+                       .recordTape = &tapes[v],
+                       .replayTape = fit};
+        const SimResult base = simulate(ChampSimView(trace), req);
+        row.base[v] = base.stats;
+        if (!base.replayed)
+            fit = base.statsFromStore ? nullptr : &tapes[v];
+        req.recordTape = nullptr;
+        req.replayTape = fit;
         for (const std::string &name : ipc1PrefetcherNames()) {
             auto pf = makeInstrPrefetcher(name);
             req.ipref = pf.get();

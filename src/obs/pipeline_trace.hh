@@ -2,11 +2,11 @@
  * @file
  * Pipeline event tracer: a bounded ring buffer of per-instruction
  * lifecycle records (fetch / dispatch / issue / complete / retire cycle
- * stamps, squash cause) that O3Core emits when a tracer is attached.
+ * stamps, squash cause) that O3Core::runTraced() emits.
  *
- * The tracer is off the hot path when disabled: the core guards the
- * emission with a single null-pointer check, so untraced simulations pay
- * nothing measurable.  When tracing, the ring keeps the most recent
+ * The tracer is off the hot path of every other run: runTraced() is its
+ * own build of the core loop, so untraced simulations carry no test for
+ * it.  When tracing, the ring keeps the most recent
  * TRB_TRACE_BUF records (default 65536), which is the window every
  * exporter renders:
  *

@@ -1,9 +1,15 @@
 #include "pipeline/o3core.hh"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
+#include <type_traits>
 
 #include "common/aligned.hh"
 #include "common/logging.hh"
+#include "uarch/btb.hh"
+#include "uarch/ittage.hh"
+#include "uarch/tage.hh"
 
 namespace trb
 {
@@ -61,14 +67,150 @@ makeDirPred(DirPredKind kind)
     return std::make_unique<TageScL>();
 }
 
+/** Where a branch record sends fetch: its type, direction and target. */
+struct BranchFacts
+{
+    BranchType type;
+    bool taken;
+    Addr target;
+};
+
+BranchFacts
+branchFacts(ChampSimView trace, std::size_t i, DeductionRules rules)
+{
+    const ChampSimRecord &rec = trace[i];
+    const bool taken = rec.branchTaken != 0;
+    return {deduceBranchType(rec, rules), taken,
+            (taken && i + 1 < trace.size()) ? trace[i + 1].ip : 0};
+}
+
 } // namespace
 
-O3Core::O3Core(const CoreParams &params, InstrPrefetcher *ipref)
-    : params_(params), mem_(params.mem), port_(mem_),
-      dir_(makeDirPred(params.dirPred)), ittage_(),
-      btb_(params.btbEntries, params.btbWays), ras_(params.rasEntries),
-      ipref_(ipref)
+struct O3Core::TargetPredictors
 {
+    explicit TargetPredictors(const CoreParams &p)
+        : btb(p.btbEntries, p.btbWays), ras(p.rasEntries)
+    {}
+
+    Ittage ittage;
+    Btb btb;
+    Ras ras;
+};
+
+/**
+ * Branch answers from the predictors.  A source's answer() gives the
+ * answer for one branch, or false to stop the run; finished() says
+ * whether the run may return its statistics.
+ */
+class O3Core::Predict
+{
+  public:
+    explicit Predict(O3Core &core) : core_(core) {}
+
+    bool
+    answer(Addr ip, BranchType type, bool taken, Addr target,
+           BranchOutcome &out)
+    {
+        out = core_.predictBranch(ip, type, taken, target);
+        return true;
+    }
+
+    bool finished() const { return true; }
+
+  private:
+    O3Core &core_;
+};
+
+/** Branch answers from the predictors, written to a tape. */
+class O3Core::Record : public O3Core::Predict
+{
+  public:
+    Record(O3Core &core, BranchTape &tape) : Predict(core), tape_(tape) {}
+
+    bool
+    answer(Addr ip, BranchType type, bool taken, Addr target,
+           BranchOutcome &out)
+    {
+        Predict::answer(ip, type, taken, target, out);
+        if (std::optional<BranchTape::Seen> seen =
+                tape_.seen(ip, type, taken, target))
+            tape_.entries.push_back({*seen, out});
+        return true;
+    }
+
+  private:
+    BranchTape &tape_;
+};
+
+/** Branch answers read back from a tape, as long as the stream fits. */
+class O3Core::Replay
+{
+  public:
+    explicit Replay(const BranchTape &tape)
+        : tape_(tape), next_(tape.entries.data()),
+          end_(next_ + tape.entries.size())
+    {}
+
+    /** False when this branch is not the tape's next one. */
+    bool
+    answer(Addr ip, BranchType type, bool taken, Addr target,
+           BranchOutcome &out)
+    {
+        const std::optional<BranchTape::Seen> seen =
+            tape_.seen(ip, type, taken, target);
+        if (!seen) {
+            out = {};   // reaches no predictor, so nothing misses
+            return true;
+        }
+        if (next_ == end_ || !(next_->seen == *seen))
+            return false;
+        out = next_->answer;
+        ++next_;
+        return true;
+    }
+
+    /** Every entry was read. */
+    bool finished() const { return next_ == end_; }
+
+  private:
+    const BranchTape &tape_;
+    const BranchTape::Entry *next_;
+    const BranchTape::Entry *end_;
+};
+
+/** Branch answers from the predictors, every instruction traced. */
+class O3Core::Traced : public O3Core::Predict
+{
+  public:
+    Traced(O3Core &core, obs::PipelineTracer &tracer)
+        : Predict(core), tracer(tracer)
+    {}
+
+    obs::PipelineTracer &tracer;
+};
+
+O3Core::O3Core(const CoreParams &params, InstrPrefetcher *ipref)
+    : params_(params), mem_(params.mem), port_(mem_), ipref_(ipref)
+{
+}
+
+O3Core::~O3Core() = default;
+
+void
+O3Core::buildPredictors()
+{
+    if (dir_)
+        return;
+    dir_ = makeDirPred(params_.dirPred);
+    if (!params_.idealTargets)
+        targets_ = std::make_unique<TargetPredictors>(params_);
+}
+
+void
+O3Core::pollCancel() const
+{
+    if (cancel_ && cancel_->cancelled())
+        throw resil::CancelledError(cancel_->reason());
 }
 
 SimStats
@@ -79,55 +221,60 @@ O3Core::snapshot() const
     return s;
 }
 
-O3Core::BranchOutcome
-O3Core::predictBranch(const ChampSimRecord &rec, BranchType type,
-                      bool taken, Addr actual_target)
+BranchOutcome
+O3Core::predictBranch(Addr ip, BranchType type, bool taken,
+                      Addr actual_target)
 {
     BranchOutcome out;
-    const Addr ip = rec.ip;
-    BtbEntryView view = btb_.lookup(ip);
+    if (type == BranchType::Conditional) {
+        bool pred_taken = dir_->predict(ip);
+        out.directionMisp = pred_taken != taken;
+        dir_->update(ip, taken);
+    }
+    // Ideal targets: every target is right, so nothing reads the BTB,
+    // ITTAGE or the RAS, and none of them is built.
+    if (params_.idealTargets)
+        return out;
+
+    TargetPredictors &tp = *targets_;
+    BtbEntryView view = tp.btb.lookup(ip);
 
     auto needBtbTarget = [&]() {
         // A taken branch whose target must come from the BTB: a miss or
         // a stale target is a misfetch, resolvable at decode for direct
         // branches (the target is in the instruction bytes).
-        if (!params_.idealTargets &&
-            !(view.hit && view.target == actual_target)) {
+        if (!(view.hit && view.target == actual_target)) {
             out.targetMisp = true;
             out.decodeResolvable = true;
         }
     };
 
     switch (type) {
-      case BranchType::Conditional: {
-        bool pred_taken = dir_->predict(ip);
-        out.directionMisp = pred_taken != taken;
-        dir_->update(ip, taken);
-        ittage_.pushHistoryBit(taken);
+      case BranchType::Conditional:
+        tp.ittage.pushHistoryBit(taken);
         if (taken && !out.directionMisp)
             needBtbTarget();
         break;
-      }
       case BranchType::DirectJump:
         needBtbTarget();
         break;
       case BranchType::DirectCall:
         needBtbTarget();
-        ras_.push(ip + 4);
+        tp.ras.push(ip + 4);
         break;
       case BranchType::IndirectJump:
       case BranchType::IndirectCall: {
-        Addr pred = ittage_.predict(ip);
-        if (!params_.idealTargets && pred != actual_target)
+        Addr pred = tp.ittage.predict(ip);
+        if (pred != actual_target)
             out.targetMisp = true;
-        ittage_.update(ip, actual_target);
+        tp.ittage.update(ip, actual_target);
         if (type == BranchType::IndirectCall)
-            ras_.push(ip + 4);
+            tp.ras.push(ip + 4);
         break;
       }
       case BranchType::Return: {
-        Addr pred = ras_.pop();
-        if (!params_.idealTargets && pred != actual_target)
+        Addr pred = tp.ras.pop();
+        if (pred != actual_target)
             out.targetMisp = true;
         break;
       }
@@ -136,12 +283,68 @@ O3Core::predictBranch(const ChampSimRecord &rec, BranchType type,
     }
 
     if (taken)
-        btb_.update(ip, actual_target, type);
+        tp.btb.update(ip, actual_target, type);
     return out;
 }
 
 SimStats
 O3Core::run(ChampSimView trace, std::uint64_t warmup)
+{
+    buildPredictors();
+    Predict branches(*this);
+    return *runLoop(trace, warmup, branches);
+}
+
+SimStats
+O3Core::runRecording(ChampSimView trace, std::uint64_t warmup,
+                     BranchTape &tape)
+{
+    buildPredictors();
+    tape.params = PredictorParams::of(params_);
+    tape.entries.clear();
+    Record branches(*this, tape);
+    return *runLoop(trace, warmup, branches);
+}
+
+std::optional<SimStats>
+O3Core::replay(ChampSimView trace, std::uint64_t warmup,
+               const BranchTape &tape)
+{
+    if (!(tape.params == PredictorParams::of(params_)))
+        return std::nullopt;
+    if (ipref_) {
+        // The prefetcher is the caller's and keeps what it is fed, so
+        // it is fed only a replay that will finish.
+        Replay probe(tape);
+        BranchOutcome ignored;
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            if (!trace[i].isBranch)
+                continue;
+            const BranchFacts b = branchFacts(trace, i, params_.rules);
+            if (!probe.answer(trace[i].ip, b.type, b.taken, b.target,
+                              ignored))
+                return std::nullopt;
+        }
+        if (!probe.finished())
+            return std::nullopt;
+    }
+    Replay branches(tape);
+    return runLoop(trace, warmup, branches);
+}
+
+SimStats
+O3Core::runTraced(ChampSimView trace, std::uint64_t warmup,
+                  obs::PipelineTracer &tracer)
+{
+    buildPredictors();
+    Traced branches(*this, tracer);
+    return *runLoop(trace, warmup, branches);
+}
+
+template <typename Branches>
+std::optional<SimStats>
+O3Core::runLoop(ChampSimView trace, std::uint64_t warmup,
+                Branches &branches)
 {
     const Cycle l1i_hit = params_.mem.l1i.latency;
     warmup = std::min<std::uint64_t>(warmup, trace.size());
@@ -170,10 +373,9 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
             base = snapshot();
 
         // Cooperative cancellation: the mask test is the only on-path
-        // cost; the relaxed load happens once per poll interval.
-        if ((i & (kCancelPollInterval - 1)) == 0 && cancel_ &&
-            cancel_->cancelled())
-            throw resil::CancelledError(cancel_->reason());
+        // cost; the token is read once per poll interval, out of line.
+        if ((i & (kCancelPollInterval - 1)) == 0)
+            pollCancel();
 
         const ChampSimRecord &rec = trace[i];
 
@@ -253,19 +455,18 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
         BranchType br_type = BranchType::NotBranch;
         obs::SquashCause squash = obs::SquashCause::None;
         if (rec.isBranch) {
-            BranchType type = deduceBranchType(rec, params_.rules);
+            const auto [type, taken, actual_target] =
+                branchFacts(trace, i, params_.rules);
             br_type = type;
-            bool taken = rec.branchTaken != 0;
-            Addr actual_target =
-                (taken && i + 1 < trace.size()) ? trace[i + 1].ip : 0;
 
             ++raw_.branches;
             if (taken)
                 ++raw_.takenBranches;
             ++raw_.typeCount[static_cast<int>(type)];
 
-            BranchOutcome out =
-                predictBranch(rec, type, taken, actual_target);
+            BranchOutcome out;
+            if (!branches.answer(rec.ip, type, taken, actual_target, out))
+                return std::nullopt;
             if (out.directionMisp)
                 ++raw_.directionMispredicts;
             if (out.targetMisp) {
@@ -312,7 +513,7 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
                 if (a != 0)
                     mem_.access(AccessKind::Store, a, rec.ip, retire);
 
-        if (tracer_) {
+        if constexpr (std::is_same_v<Branches, Traced>) {
             obs::InstrEvent ev;
             ev.seq = i;
             ev.ip = rec.ip;
@@ -325,13 +526,15 @@ O3Core::run(ChampSimView trace, std::uint64_t warmup)
             ev.squash = squash;
             ev.isLoad = rec.isLoad();
             ev.isStore = rec.isStore();
-            tracer_->record(ev);
+            branches.tracer.record(ev);
         }
 
         ++raw_.instructions;
         raw_.cycles = last_retire;
     }
 
+    if (!branches.finished())
+        return std::nullopt;
     return snapshot() - base;
 }
 

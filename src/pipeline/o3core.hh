@@ -30,25 +30,33 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/hierarchy.hh"
 #include "ipref/instr_prefetcher.hh"
 #include "obs/pipeline_trace.hh"
-#include "resil/cancel.hh"
+#include "pipeline/branch_tape.hh"
 #include "pipeline/core_params.hh"
 #include "pipeline/sim_stats.hh"
+#include "resil/cancel.hh"
 #include "trace/branch_deduce.hh"
 #include "trace/champsim_trace.hh"
-#include "uarch/btb.hh"
 #include "uarch/direction_pred.hh"
-#include "uarch/ittage.hh"
-#include "uarch/tage.hh"
 
 namespace trb
 {
 
-/** The core model.  One instance simulates one trace run. */
+/**
+ * The core model.  One instance simulates one trace run.
+ *
+ * Every run is one loop, a template over where its branch answers come
+ * from, built four times: run() predicts, runRecording() predicts and
+ * writes the answers to a BranchTape, replay() reads them back from one
+ * (and builds no predictor), and runTraced() predicts and records each
+ * retired instruction's stamps into a PipelineTracer.  The choice is
+ * made at compile time, so run() carries no test for the other three.
+ */
 class O3Core
 {
   public:
@@ -59,6 +67,7 @@ class O3Core
      */
     explicit O3Core(const CoreParams &params,
                     InstrPrefetcher *ipref = nullptr);
+    ~O3Core();
 
     /**
      * Simulate the trace.  Takes a non-owning view, so the record array
@@ -69,23 +78,40 @@ class O3Core
      */
     SimStats run(ChampSimView trace, std::uint64_t warmup = 0);
 
-    /**
-     * Attach (or detach with nullptr) a pipeline event tracer: every
-     * retired instruction's lifecycle stamps are recorded into it.  The
-     * core only pays a pointer test per instruction when detached.
-     */
-    void setTracer(obs::PipelineTracer *tracer) { tracer_ = tracer; }
+    /** run(), and @p tape is overwritten with every branch's answers. */
+    SimStats runRecording(ChampSimView trace, std::uint64_t warmup,
+                          BranchTape &tape);
 
     /**
-     * Attach (or detach with nullptr) a cancellation token: run() polls
+     * run() with every branch's answer read from @p tape instead of
+     * predicted, so no predictor is built or trained.  Bit-identical to
+     * run() when the trace's branch stream is the tape's.  Returns
+     * nothing -- a partial run whose statistics are discarded -- when
+     * @p tape was recorded under other predictor parameters, at the
+     * first branch that differs from its entry, and at the end of a
+     * trace that left entries unread.  With a prefetcher attached the
+     * whole stream is compared before the run starts, so a refused
+     * replay has not fed the prefetcher.
+     */
+    std::optional<SimStats> replay(ChampSimView trace,
+                                   std::uint64_t warmup,
+                                   const BranchTape &tape);
+
+    /** run(), and every retired instruction's lifecycle stamps are
+     *  recorded into @p tracer. */
+    SimStats runTraced(ChampSimView trace, std::uint64_t warmup,
+                       obs::PipelineTracer &tracer);
+
+    /**
+     * Attach (or detach with nullptr) a cancellation token: a run polls
      * it every kCancelPollInterval retired instructions and bails out
      * by throwing resil::CancelledError when it has fired.  A poll is
      * one relaxed load, plus the parent's poll and a clock read when
      * the token has them: this poll is what enforces a token's
-     * deadline.  Detached, the per-poll cost is one pointer test --
-     * the same pattern as setTracer().  The partial run's
-     * statistics are discarded with the exception; cancellation never
-     * produces (or memoizes) a truncated result.
+     * deadline.  The loop itself only tests the instruction count; the
+     * poll is an out-of-line call.  The partial run's statistics are
+     * discarded with the exception; cancellation never produces (or
+     * memoizes) a truncated result.
      */
     void
     setCancelToken(const resil::CancelToken *token)
@@ -119,16 +145,28 @@ class O3Core
         MemoryHierarchy &mem_;
     };
 
-    /** Outcome of predicting one branch at fetch. */
-    struct BranchOutcome
-    {
-        bool directionMisp = false;
-        bool targetMisp = false;
-        bool decodeResolvable = false;  //!< direct target known at decode
-    };
+    /** The predictors that only targets are read from. */
+    struct TargetPredictors;
 
-    BranchOutcome predictBranch(const ChampSimRecord &rec, BranchType type,
-                                bool taken, Addr actual_target);
+    /** The loop's branch-answer sources (o3core.cc). */
+    class Predict;
+    class Record;
+    class Replay;
+    class Traced;
+
+    template <typename Branches>
+    std::optional<SimStats> runLoop(ChampSimView trace,
+                                    std::uint64_t warmup,
+                                    Branches &branches);
+
+    /** Build the predictors the parameters read (once per core). */
+    void buildPredictors();
+
+    BranchOutcome predictBranch(Addr ip, BranchType type, bool taken,
+                                Addr actual_target);
+
+    /** The poll of a kCancelPollInterval boundary. */
+    [[gnu::noinline]] void pollCancel() const;
 
     /** Snapshot the raw counters (for warmup subtraction). */
     SimStats snapshot() const;
@@ -137,11 +175,10 @@ class O3Core
     MemoryHierarchy mem_;
     Port port_;
     std::unique_ptr<DirectionPredictor> dir_;
-    Ittage ittage_;
-    Btb btb_;
-    Ras ras_;
+    /** BTB, ITTAGE and RAS; none under idealTargets, whose answers
+     *  never read them. */
+    std::unique_ptr<TargetPredictors> targets_;
     InstrPrefetcher *ipref_;
-    obs::PipelineTracer *tracer_ = nullptr;
     const resil::CancelToken *cancel_ = nullptr;
 
     // Raw cumulative counters (snapshotted at the warmup boundary).

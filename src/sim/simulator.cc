@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <type_traits>
 
 #include "convert/improvements.hh"
@@ -134,23 +135,41 @@ struct ConvertBufferCap
     }
 };
 
-/** The uncached tail: run the core model over @p trace. */
-SimStats
+/**
+ * The uncached tail: run the core model over @p trace, replaying the
+ * request's tape while it fits and predicting from the start when it
+ * stops.
+ */
+SimResult
 runCore(ChampSimView trace, const SimRequest &req)
 {
     obs::SpanScope span(obs::kSimulatePhase);
     span.setItems(trace.size());
-    O3Core core(req.params, req.ipref);
-    core.setCancelToken(req.cancel);
     auto warmup = static_cast<std::uint64_t>(
         req.warmupFraction * static_cast<double>(trace.size()));
-    return core.run(trace, warmup);
+    SimResult result;
+    if (req.replayTape) {
+        O3Core core(req.params, req.ipref);
+        core.setCancelToken(req.cancel);
+        if (std::optional<SimStats> stats =
+                core.replay(trace, warmup, *req.replayTape)) {
+            result.stats = *stats;
+            result.replayed = true;
+            return result;
+        }
+    }
+    O3Core core(req.params, req.ipref);
+    core.setCancelToken(req.cancel);
+    result.stats = req.recordTape
+                       ? core.runRecording(trace, warmup, *req.recordTape)
+                       : core.run(trace, warmup);
+    return result;
 }
 
 /**
  * The one memo: serve the SimStats under @p stats_key from @p st, or
- * compute them with @p run and publish them.  @p st may be null, which
- * just runs.
+ * compute them with @p run (a SimResult) and publish them.  @p st may be
+ * null, which just runs.
  */
 template <typename Run>
 SimResult
@@ -165,7 +184,7 @@ memoized(store::Store *st, const std::string &stats_key, Run run)
             return result;
         }
     }
-    result.stats = run();
+    result = run();
     if (st)
         st->putBits(stats_key, result.stats.toBits());
     return result;

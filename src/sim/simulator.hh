@@ -19,6 +19,13 @@
  *                                  .params = modernConfig(),
  *                                  .warmupFraction = 0.5});
  *
+ * Two fields make a row of runs over one branch stream predict it once
+ * (see pipeline/branch_tape.hh): recordTape receives the branch answers
+ * of a run that predicts, and replayTape hands them to a later run,
+ * which stops replaying at the first branch that differs and predicts
+ * instead.  Both stay out of the store key, as cvpDigest does: a tape
+ * changes how fast a result arrives, never what it is.
+ *
  * When a store is active (TRB_STORE, or SimRequest::store), simulate()
  * memoizes the result and nothing else: the final SimStats, restored
  * from exact u64 bit patterns.  A hit skips conversion and the core
@@ -51,6 +58,7 @@
 
 #include "convert/cvp2champsim.hh"
 #include "ipref/instr_prefetcher.hh"
+#include "pipeline/branch_tape.hh"
 #include "pipeline/core_params.hh"
 #include "pipeline/o3core.hh"
 #include "pipeline/sim_stats.hh"
@@ -120,6 +128,22 @@ struct SimRequest
      * what it is.
      */
     const resil::CancelToken *cancel = nullptr;
+
+    /**
+     * Optional tape that a run which predicts overwrites with every
+     * branch's answers: each run, unless the stats come from the store
+     * or replayTape answered them (see SimResult::replayed).
+     */
+    BranchTape *recordTape = nullptr;
+
+    /**
+     * Optional tape whose answers are replayed instead of predicted
+     * (see O3Core::replay).  When the trace's branch stream or the
+     * predictor parameters differ from the tape's, the replay stops and
+     * the run predicts from the same converted trace, so the result is
+     * the plain run's either way.
+     */
+    const BranchTape *replayTape = nullptr;
 };
 
 /** A simulation result plus where it came from. */
@@ -129,6 +153,9 @@ struct SimResult
 
     /** The SimStats were served from the artifact store. */
     bool statsFromStore = false;
+
+    /** Every branch answer came from the request's replayTape. */
+    bool replayed = false;
 };
 
 /**

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -272,16 +273,51 @@ registryCounter(const char *path)
 }
 
 /**
+ * Run @p body and exit: 1 if an expectation in it failed, each failure's
+ * message written to stderr (where a death test's report reads it), 0
+ * otherwise.
+ */
+template <typename Body>
+[[noreturn]] void
+runAndExit(Body body)
+{
+    body();
+    const ::testing::TestResult &result =
+        *::testing::UnitTest::GetInstance()->current_test_info()->result();
+    for (int i = 0; i < result.total_part_count(); ++i) {
+        const ::testing::TestPartResult &part = result.GetTestPartResult(i);
+        if (part.failed())
+            std::fprintf(stderr, "%s:%d: %s\n", part.file_name(),
+                         part.line_number(), part.message());
+    }
+    std::exit(result.Failed() ? 1 : 0);
+}
+
+/**
+ * Run @p body in a fresh process of this test binary: gtest's threadsafe
+ * death-test style re-executes it for this test alone, so the pool size
+ * and TRB_LINT, which are read once per process, are read anew however
+ * many tests this process ran before.
+ */
+template <typename Body>
+void
+inFreshProcess(Body body)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(runAndExit(body), ::testing::ExitedWithCode(0), "");
+}
+
+/**
  * Run the Fig. 1 sweep over blrMixSuite() on @p jobs workers, without
  * and then with a store, and check every ratio and baseline bit for bit
- * against direct simulate() calls of each set, and the count of cells
- * answered from the baseline against the inert verdicts.
+ * against direct simulate() calls of each set, the count of cells
+ * answered from the baseline against the inert verdicts, and the counts
+ * of cells that replayed the baseline's branch tape and that stopped.
  */
 void
 checkSweepAgainstDirectCalls(const char *jobs)
 {
-    // Sized before the global pool's first use in this process (each
-    // gtest case is its own process under ctest).
+    // Sized before the global pool's first use in this process.
     setenv("TRB_JOBS", jobs, 1);
     const std::vector<TraceSpec> suite = blrMixSuite();
     const std::vector<NamedSet> &sets = figureOneSets();
@@ -324,11 +360,21 @@ checkSweepAgainstDirectCalls(const char *jobs)
         store::Store::setDirForTesting(storing ? dir : "");
         const std::uint64_t answered0 =
             registryCounter("sweep.cells_from_baseline");
+        const std::uint64_t replayed0 =
+            registryCounter("sweep.cells_replayed");
+        const std::uint64_t mismatched0 =
+            registryCounter("sweep.tape_mismatches");
         std::vector<SimStats> baseline;
         const std::vector<DeltaSeries> series =
             runImprovementSweep(suite, sets, params, &baseline);
         EXPECT_EQ(registryCounter("sweep.cells_from_baseline") - answered0,
                   inert_cells);
+        // call-stack, Branch and All change srv_blr's branch stream, the
+        // one trace with BLR X30; every other simulated cell replays.
+        EXPECT_EQ(registryCounter("sweep.tape_mismatches") - mismatched0,
+                  3u);
+        EXPECT_EQ(registryCounter("sweep.cells_replayed") - replayed0,
+                  suite.size() * sets.size() - inert_cells - 3);
         ASSERT_EQ(baseline.size(), suite.size());
         for (std::size_t i = 0; i < suite.size(); ++i) {
             EXPECT_EQ(baseline[i].toBits(), direct_base[i].toBits())
@@ -353,28 +399,31 @@ checkSweepAgainstDirectCalls(const char *jobs)
 
 TEST(InertCells, SweepMatchesDirectSimulateOnOneWorker)
 {
-    checkSweepAgainstDirectCalls("1");
+    inFreshProcess([] { checkSweepAgainstDirectCalls("1"); });
 }
 
 TEST(InertCells, SweepMatchesDirectSimulateOnFourWorkers)
 {
-    checkSweepAgainstDirectCalls("4");
+    inFreshProcess([] { checkSweepAgainstDirectCalls("4"); });
 }
 
 /** Under TRB_LINT every cell still converts, so lint sees each one. */
 TEST(InertCells, LintStillSeesEveryCell)
 {
-    // Read once per process, at the first lint check.
-    setenv("TRB_LINT", "1", 1);
-    const std::vector<TraceSpec> suite = blrMixSuite();
-    const std::uint64_t streams0 = registryCounter("lint.streams");
-    const std::uint64_t answered0 =
-        registryCounter("sweep.cells_from_baseline");
-    runImprovementSweep(suite, figureOneSets(), modernConfig());
-    EXPECT_EQ(registryCounter("lint.streams") - streams0,
-              suite.size() * (1 + figureOneSets().size()));
-    EXPECT_EQ(registryCounter("sweep.cells_from_baseline"), answered0);
-    unsetenv("TRB_LINT");
+    inFreshProcess([] {
+        // Read once per process, at the first lint check.
+        setenv("TRB_LINT", "1", 1);
+        const std::vector<TraceSpec> suite = blrMixSuite();
+        const std::size_t cells = suite.size() * figureOneSets().size();
+        runImprovementSweep(suite, figureOneSets(), modernConfig());
+        EXPECT_EQ(registryCounter("lint.streams"),
+                  suite.size() + cells);
+        EXPECT_EQ(registryCounter("sweep.cells_from_baseline"), 0u);
+        // The inert cells simulate too, and replay.
+        EXPECT_EQ(registryCounter("sweep.tape_mismatches"), 3u);
+        EXPECT_EQ(registryCounter("sweep.cells_replayed"), cells - 3);
+        unsetenv("TRB_LINT");
+    });
 }
 
 } // namespace

@@ -9,8 +9,11 @@
 
 #include <malloc.h>
 
+#include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -18,10 +21,13 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "experiments/experiment.hh"
 #include "obs/pipeline_trace.hh"
+#include "par/thread_pool.hh"
 #include "pipeline/o3core.hh"
 #include "sim/simulator.hh"
 #include "synth/generator.hh"
+#include "synth/suites.hh"
 
 namespace trb
 {
@@ -416,9 +422,7 @@ TEST(O3Core, TracedStampsAreOrderedAndRetireMonotonic)
     auto check = [](const ChampSimTrace &trace, const CoreParams &p,
                     const std::string &what) {
         obs::PipelineTracer tracer(trace.size());
-        O3Core core(p);
-        core.setTracer(&tracer);
-        core.run(trace);
+        O3Core(p).runTraced(trace, 0, tracer);
         ASSERT_EQ(tracer.recorded(), trace.size()) << what;
         EXPECT_EQ(checkTimingInvariants(tracer.events(), p, what), 0u);
     };
@@ -567,6 +571,257 @@ TEST(SimulateBuffer, KeptBufferStaysOutOfTheMallocHeap)
 #else
     GTEST_SKIP() << "needs glibc's mallinfo2";
 #endif
+}
+
+// ---------------------------------------------------------------------
+// Branch-outcome tapes.
+
+/**
+ * The branch stream the predictors of @p p see in @p trace, written from
+ * the records alone: each branch's ip, deduced type, direction and the
+ * next record's ip when taken; under idealTargets, where only the
+ * direction predictor runs, the conditional branches' ips and
+ * directions.
+ */
+std::vector<std::tuple<Addr, BranchType, bool, Addr>>
+predictedStream(ChampSimView trace, const CoreParams &p)
+{
+    std::vector<std::tuple<Addr, BranchType, bool, Addr>> stream;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const ChampSimRecord &rec = trace[i];
+        if (!rec.isBranch)
+            continue;
+        const BranchType type = deduceBranchType(rec, p.rules);
+        const bool taken = rec.branchTaken != 0;
+        if (p.idealTargets) {
+            if (type == BranchType::Conditional)
+                stream.emplace_back(rec.ip, type, taken, 0);
+            continue;
+        }
+        stream.emplace_back(rec.ip, type, taken,
+                            taken && i + 1 < trace.size() ? trace[i + 1].ip
+                                                          : 0);
+    }
+    return stream;
+}
+
+struct TapeCounts
+{
+    std::size_t replayed = 0, stopped = 0;
+};
+
+/**
+ * Both suites at 20 000 instructions, every Fig. 1 set, under @p p: the
+ * No_imp run records a tape, recording leaves its stats as a plain
+ * run's, and each set's replay either returns a plain run's bits or
+ * stops -- and stops exactly when the set's stream is not the
+ * baseline's.  Warm-up is half the trace under idealTargets, as Table 3
+ * runs, and none otherwise, as Fig. 1 runs.
+ */
+TapeCounts
+checkReplaysOverBothSuites(const CoreParams &p)
+{
+    std::vector<TraceSpec> suite = cvp1PublicSuite(20000);
+    for (const TraceSpec &spec : ipc1Suite(20000))
+        suite.push_back(spec);
+    const std::vector<NamedSet> &sets = figureOneSets();
+    std::vector<TapeCounts> counts(suite.size());
+    std::vector<std::string> errors(suite.size());
+    par::ThreadPool::global().parallelFor(suite.size(), [&](std::size_t t) {
+        const CvpTrace cvp =
+            TraceGenerator(suite[t].params).generate(suite[t].length);
+        auto warmup = [&](ChampSimView trace) {
+            return p.idealTargets ? trace.size() / 2 : 0;
+        };
+        const ChampSimTrace base = Cvp2ChampSim(kImpNone).convert(cvp);
+        BranchTape tape;
+        const SimStats recorded =
+            O3Core(p).runRecording(base, warmup(base), tape);
+        if (recorded.toBits() != O3Core(p).run(base, warmup(base)).toBits())
+            errors[t] += " recording moved the stats;";
+        const auto base_stream = predictedStream(base, p);
+        for (const NamedSet &set : sets) {
+            const ChampSimTrace cell = Cvp2ChampSim(set.set).convert(cvp);
+            const bool same = predictedStream(cell, p) == base_stream;
+            const std::optional<SimStats> replayed =
+                O3Core(p).replay(cell, warmup(cell), tape);
+            if (replayed.has_value() != same)
+                errors[t] += std::string(" ") + set.name +
+                             (same ? " stopped on its baseline's stream;"
+                                   : " replayed another stream;");
+            if (!replayed) {
+                ++counts[t].stopped;
+                continue;
+            }
+            ++counts[t].replayed;
+            if (replayed->toBits() !=
+                O3Core(p).run(cell, warmup(cell)).toBits())
+                errors[t] += std::string(" ") + set.name +
+                             " replayed other bits than a plain run;";
+        }
+    });
+    TapeCounts total;
+    for (std::size_t t = 0; t < suite.size(); ++t) {
+        EXPECT_EQ(errors[t], "") << suite[t].name;
+        total.replayed += counts[t].replayed;
+        total.stopped += counts[t].stopped;
+    }
+    EXPECT_EQ(total.replayed + total.stopped, suite.size() * sets.size());
+    std::printf("%zu cells replayed, %zu stopped\n", total.replayed,
+                total.stopped);
+    return total;
+}
+
+TEST(BranchTape, ReplaysExactlyTheCellsWithTheBaselinesStreamPatched)
+{
+    // Only call-stack changes a branch record under the patched rules,
+    // on the traces with BLR X30.
+    const TapeCounts n = checkReplaysOverBothSuites(modernConfig());
+    EXPECT_GT(n.stopped, 0u);
+    EXPECT_GT(n.replayed, 10 * n.stopped);
+}
+
+TEST(BranchTape, ReplaysExactlyTheCellsWithTheBaselinesStreamOriginal)
+{
+    // The original rules also read branch-regs' and flag-reg's register
+    // changes as type changes.
+    CoreParams p = modernConfig();
+    p.rules = DeductionRules::Original;
+    const TapeCounts n = checkReplaysOverBothSuites(p);
+    EXPECT_GT(n.stopped, 0u);
+    EXPECT_GT(n.replayed, 0u);
+}
+
+TEST(BranchTape, ReplaysExactlyTheCellsWithTheBaselinesStreamIpc1)
+{
+    // The direction predictor alone runs, and no Fig. 1 fix moves a
+    // conditional branch under the patched rules: every cell replays.
+    const TapeCounts n = checkReplaysOverBothSuites(ipc1Config());
+    EXPECT_GT(n.replayed, 0u);
+}
+
+/** A server trace with calls, returns and indirect branches. */
+ChampSimTrace
+tapeTrace()
+{
+    return Cvp2ChampSim(kAllImps).convert(
+        TraceGenerator(serverParams(11)).generate(20000));
+}
+
+TEST(BranchTape, FlippedAnswerChangesTheStats)
+{
+    const ChampSimTrace trace = tapeTrace();
+    const CoreParams p = modernConfig();
+    BranchTape tape;
+    const SimStats plain = O3Core(p).runRecording(trace, 0, tape);
+    ASSERT_GT(tape.entries.size(), 1000u);
+    bool &bit = tape.entries[tape.entries.size() / 2].answer.directionMisp;
+    bit = !bit;
+    const std::optional<SimStats> replayed = O3Core(p).replay(trace, 0, tape);
+    ASSERT_TRUE(replayed.has_value());
+    EXPECT_NE(replayed->toBits(), plain.toBits());
+    // The flipped answer is counted, and its redirect moves the timing.
+    EXPECT_EQ(replayed->directionMispredicts,
+              bit ? plain.directionMispredicts + 1
+                  : plain.directionMispredicts - 1);
+    EXPECT_NE(replayed->cycles, plain.cycles);
+}
+
+TEST(BranchTape, TapeOfOtherPredictorsIsRefused)
+{
+    const ChampSimTrace trace = tapeTrace();
+    const CoreParams p = modernConfig();
+    BranchTape own;
+    O3Core(p).runRecording(trace, 0, own);
+    EXPECT_TRUE(O3Core(p).replay(trace, 0, own).has_value());
+
+    CoreParams smaller_btb = p, gshare = p, ideal = p;
+    smaller_btb.btbEntries /= 2;
+    gshare.dirPred = DirPredKind::Gshare;
+    ideal.idealTargets = true;
+    for (const CoreParams &other : {smaller_btb, gshare, ideal}) {
+        BranchTape tape;
+        O3Core(other).runRecording(trace, 0, tape);
+        EXPECT_FALSE(O3Core(p).replay(trace, 0, tape).has_value());
+        EXPECT_FALSE(O3Core(other).replay(trace, 0, own).has_value());
+        EXPECT_TRUE(O3Core(other).replay(trace, 0, tape).has_value());
+    }
+}
+
+/** Counts the events a run feeds it. */
+class CountingPrefetcher : public InstrPrefetcher
+{
+  public:
+    void onFetch(Addr, bool, Cycle, PrefetchPort &) override { ++events; }
+
+    void
+    onBranch(Addr, BranchType, Addr, bool, Cycle, PrefetchPort &) override
+    {
+        ++events;
+    }
+
+    const char *name() const override { return "counting"; }
+
+    std::uint64_t events = 0;
+};
+
+TEST(BranchTape, ShortOrLongTapeStopsTheReplay)
+{
+    const ChampSimTrace trace = tapeTrace();
+    for (const CoreParams &p : {modernConfig(), ipc1Config()}) {
+        BranchTape tape;
+        O3Core(p).runRecording(trace, 0, tape);
+        BranchTape truncated = tape, extended = tape;
+        truncated.entries.pop_back();
+        extended.entries.push_back(tape.entries.back());
+        EXPECT_FALSE(O3Core(p).replay(trace, 0, truncated).has_value());
+        EXPECT_FALSE(O3Core(p).replay(trace, 0, extended).has_value());
+
+        // With a prefetcher attached, a refused replay feeds it nothing,
+        // and one that fits feeds it what a plain run does.
+        for (const BranchTape *bad : {&truncated, &extended}) {
+            CountingPrefetcher pf;
+            EXPECT_FALSE(O3Core(p, &pf).replay(trace, 0, *bad).has_value());
+            EXPECT_EQ(pf.events, 0u);
+        }
+        CountingPrefetcher replayed, plain;
+        EXPECT_TRUE(O3Core(p, &replayed).replay(trace, 0, tape).has_value());
+        O3Core(p, &plain).run(trace);
+        EXPECT_EQ(replayed.events, plain.events);
+    }
+}
+
+/**
+ * simulate() answers from the tape when it fits and reruns plainly when
+ * it does not, through both overloads: the call-stack fix changes the
+ * branch stream of a trace with BLR X30, the memory fixes do not.
+ */
+TEST(BranchTape, SimulateRerunsPlainlyWhenTheReplayStops)
+{
+    WorkloadParams wp = serverParams(43);
+    wp.blrX30Frac = 0.8;
+    wp.indirectCallFrac = 0.4;
+    const CvpTrace cvp = TraceGenerator(wp).generate(20000);
+    BranchTape tape;
+    const SimResult base =
+        simulate(cvp, {.useStore = false, .recordTape = &tape});
+    EXPECT_FALSE(base.replayed);
+    ASSERT_FALSE(tape.entries.empty());
+    for (ImprovementSet imps :
+         {kMemoryImps, ImprovementSet{kImpCallStack}}) {
+        const SimStats plain =
+            simulate(cvp, {.imps = imps, .useStore = false}).stats;
+        const SimResult cell = simulate(
+            cvp, {.imps = imps, .useStore = false, .replayTape = &tape});
+        EXPECT_EQ(cell.replayed, imps == kMemoryImps);
+        EXPECT_EQ(cell.stats.toBits(), plain.toBits());
+
+        const ChampSimTrace trace = Cvp2ChampSim(imps).convert(cvp);
+        const SimResult view = simulate(
+            ChampSimView(trace), {.useStore = false, .replayTape = &tape});
+        EXPECT_EQ(view.replayed, imps == kMemoryImps);
+        EXPECT_EQ(view.stats.toBits(), plain.toBits());
+    }
 }
 
 } // namespace
